@@ -7,19 +7,26 @@
 //! the pool size (`threads`) legitimately vary run to run, so they are
 //! normalized to fixed values before comparison.
 //!
+//! A second golden (`engines.json`) pins the engines the first one does
+//! not reach: the Fast interval engine past its warmup prefix, and a
+//! 2-core die under both fidelities, all on a trip-firing configuration.
+//! The equivalence suites compare engines with each other; these goldens
+//! compare every engine with its own committed past.
+//!
 //! To regenerate after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p powerbalance-harness --test golden_json
 //! ```
 
-use powerbalance::experiments;
+use powerbalance::experiments::{self, PolicyKind};
+use powerbalance::{Fidelity, FloorplanKind, SchedulerKind, SimConfig};
 use powerbalance_harness::{run_campaign, CampaignSpec, RunnerOptions};
 use serde::json::Value;
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/campaign.json")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
 }
 
 /// Rewrites every host-varying field to a fixed value, recursively.
@@ -44,20 +51,12 @@ fn normalize(value: &mut Value) {
     }
 }
 
-#[test]
-fn campaign_json_matches_the_committed_golden_artifact() {
-    // Small but representative: two mitigation configs, two benchmarks, a
-    // warmup budget (so the spec's warm-start fields are pinned too), and
-    // more than one worker (normalized away below).
-    let spec = CampaignSpec::new("golden")
-        .config("base", experiments::issue_queue(false))
-        .config("toggling", experiments::issue_queue(true))
-        .benchmarks(["eon", "gzip"])
-        .cycles(30_000)
-        .warmup(10_000)
-        .seed(5);
-    let result = run_campaign(&spec, &RunnerOptions { threads: Some(2), ..Default::default() })
-        .expect("campaign runs");
+/// Runs `spec` and compares its normalized, pretty-printed artifact with
+/// the golden `file` (or rewrites the file under `UPDATE_GOLDEN`).
+fn assert_matches_golden(spec: &CampaignSpec, threads: usize, file: &str) {
+    let result =
+        run_campaign(spec, &RunnerOptions { threads: Some(threads), ..Default::default() })
+            .expect("campaign runs");
 
     let mut value = Value::parse(&result.to_json()).expect("artifact parses");
     normalize(&mut value);
@@ -65,7 +64,7 @@ fn campaign_json_matches_the_committed_golden_artifact() {
     value.write_pretty(&mut rendered, 0);
     rendered.push('\n');
 
-    let path = golden_path();
+    let path = golden_path(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
         std::fs::write(&path, &rendered).expect("write golden");
@@ -85,6 +84,61 @@ fn campaign_json_matches_the_committed_golden_artifact() {
          regenerate with UPDATE_GOLDEN=1",
         path.display()
     );
+}
+
+#[test]
+fn campaign_json_matches_the_committed_golden_artifact() {
+    // Small but representative: two mitigation configs, two benchmarks, a
+    // warmup budget (so the spec's warm-start fields are pinned too), and
+    // more than one worker (normalized away below).
+    let spec = CampaignSpec::new("golden")
+        .config("base", experiments::issue_queue(false))
+        .config("toggling", experiments::issue_queue(true))
+        .benchmarks(["eon", "gzip"])
+        .cycles(30_000)
+        .warmup(10_000)
+        .seed(5);
+    assert_matches_golden(&spec, 2, "campaign.json");
+}
+
+#[test]
+fn fast_and_multicore_json_matches_the_committed_golden_artifact() {
+    // eon on the issue-constrained floorplan with the limit pulled down to
+    // 340 K, as in the ablation goldens, so trip points fire on every
+    // engine. The Fast configs run past their 20k-cycle detailed prefix
+    // into 1-in-4 detailed sub-intervals, so skipped intervals are pinned.
+    // At 340 K the cores freeze early and skip mostly frozen. At 358 K the
+    // 2-core die still trips but keeps running, so there the skipped
+    // intervals also fast-forward the workload and extrapolate counters.
+    let configs = |max_temp: f64| {
+        let mut exact = experiments::policy(PolicyKind::Spatial, FloorplanKind::IssueConstrained);
+        exact.mitigation = exact.mitigation.with_max_temp(max_temp);
+        let fast = SimConfig {
+            fidelity: Fidelity::Fast,
+            fast_window: 40_000,
+            fast_warmup: 20_000,
+            ..exact.clone()
+        };
+        let die = |c: &SimConfig| SimConfig {
+            cores: 2,
+            scheduler: SchedulerKind::CoolestFirst,
+            ..c.clone()
+        };
+        (die(&exact), die(&fast), fast)
+    };
+    let (two_core, two_core_fast, fast) = configs(340.0);
+    let (_, two_core_fast_358, fast_358) = configs(358.0);
+    let spec = CampaignSpec::new("golden-engines")
+        .config("fast", fast)
+        .config("2core", two_core)
+        .config("2core-fast", two_core_fast)
+        .config("fast-358k", fast_358)
+        .config("2core-fast-358k", two_core_fast_358)
+        .benchmark("eon")
+        .cycles(120_000)
+        .warmup(10_000)
+        .seed(5);
+    assert_matches_golden(&spec, 2, "engines.json");
 }
 
 #[test]
