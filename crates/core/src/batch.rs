@@ -6,36 +6,32 @@
 //! differ once a trip point actually fires — which, for well-mitigated
 //! configurations, is rarely. [`BatchSimulator`] exploits that: siblings
 //! whose observable behaviour is still identical share one
-//! **equivalence-class** [`Simulator`] (one core, one thermal solve, one
-//! pass over the trace), while each sibling keeps its own
-//! [`ThermalManager`] so every policy still decides every window. The
-//! moment two siblings' decisions diverge, the class **forks** — the
-//! shared state is snapshotted bit-exactly into a new class and both
-//! lineages continue independently, their traces split via `Clone` (a
+//! **equivalence class** (one core, one thermal model, one pass over the
+//! trace), while each sibling keeps its own [`ThermalManager`] so every
+//! policy still decides every window. The moment two siblings' decisions
+//! diverge, the class **forks** — the shared state is restored
+//! bit-exactly into a new class and both lineages continue
+//! independently, their traces split via `Clone` (a
 //! [`powerbalance_isa::TraceCursor`] fork under Exact fidelity, a private
 //! generator clone under Fast).
 //!
-//! Classes that remain split still amortise the thermal solve: each
-//! sampling window ends in one structure-of-arrays backward-Euler solve
-//! across all live classes ([`BatchThermalSolver`]), reusing a single LU
-//! factorization for K right-hand sides, and one batched power
-//! accumulation ([`PowerModel::block_power_many_into`]).
+//! # What this engine adds to the window kernel
 //!
-//! The engine drives the same window phases the scalar simulator's
-//! `sample` chains (`run_window` → `window_activity` → power →
-//! `sample_prepare` → thermal → consult → `sample_stats`), in the same
-//! order, with the same floating-point operation sequence — batched
-//! results are **bit-identical** to K sequential scalar runs, a contract
-//! pinned by differential tests and the fuzzer.
+//! Each class is a one-lane die of the window kernel ([`crate::kernel`]),
+//! stepped by the kernel's lane steps and drive loop — the code the
+//! scalar [`crate::Simulator`] runs — so batched results are
+//! **bit-identical** to K sequential scalar runs, a contract pinned by
+//! differential tests and the fuzzer. This module adds only its own
+//! parts: the per-sibling managers (a class's power is scaled by its
+//! representative's), one structure-of-arrays backward-Euler solve per
+//! window across all live classes ([`BatchThermalSolver`], one LU
+//! factorization for K right-hand sides), and consult-and-fork.
 
-use crate::config::Fidelity;
-use crate::simulator::{RunControl, Simulator, StopCause};
-use crate::{Error, RunResult, SimConfig, SimulatorState};
+use crate::kernel::{self, Die, Engine, WindowClock};
+use crate::{Error, RunControl, RunResult, SimConfig, SimulatorState, StopCause};
 use powerbalance_isa::TraceSource;
 use powerbalance_mitigation::{Actuation, MitigationConfig, Sensors, ThermalManager};
-use powerbalance_power::PowerModel;
-use powerbalance_thermal::{BatchThermalSolver, ThermalModel};
-use powerbalance_uarch::{ActivitySample, CoreStats};
+use powerbalance_thermal::{BatchThermalSolver, SolveLane, ThermalModel};
 
 /// The part of a [`SimConfig`] that lockstep siblings must share: the
 /// whole configuration with `mitigation` normalized to the baseline.
@@ -47,46 +43,46 @@ pub fn batch_key(config: &SimConfig) -> SimConfig {
     SimConfig { mitigation: MitigationConfig::baseline(), ..config.clone() }
 }
 
-/// One equivalence class: a shared simulator plus the sibling indices
-/// currently riding on it, and the per-window phase scratch.
+/// One equivalence class: a shared one-lane die plus the sibling indices
+/// currently riding on it.
 #[derive(Debug)]
 struct BatchClass<T> {
-    sim: Simulator,
+    die: Die,
     trace: T,
     /// Sibling indices sharing this class, in ascending order; the first
     /// is the representative whose manager actuates the shared core.
     members: Vec<usize>,
     /// The shared core finished its trace; the class no longer steps.
     done: bool,
-    /// This window's activity, `None` while idle or between windows.
-    pending: Option<ActivitySample>,
-    /// This window's thermal step size (valid while `pending` is set).
-    dt: f64,
-    /// Whether this window performs the one-time warm-start settle.
-    settled: bool,
-    /// Core counters at the start of the current detailed Fast window.
-    before: CoreStats,
-    /// `(was_frozen, virtual_now)` captured before the consult — the
-    /// inputs `sample_stats` needs, and the marker that this class ran
-    /// (and must consult + account) this window.
-    stat_ctx: Option<(bool, u64)>,
+    /// This window's thermal step as `(settled, dt bits)`; scratch.
+    step: (bool, u64),
+    /// Whether the batched solve in progress includes this class; scratch.
+    solve: bool,
+}
+
+impl<T> SolveLane for BatchClass<T> {
+    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])> {
+        self.solve.then(|| self.die.thermal_lane())
+    }
 }
 
 /// One partition of a class's members by what their decision would do.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Partition {
     actions: Vec<Actuation>,
     /// Post-apply dynamic-power scale, bit-packed: identical commands on
     /// different DVFS ladders must not share a core next window.
     scale_bits: u64,
     members: Vec<usize>,
+    /// Index of the class the partition continues on.
+    target: usize,
 }
 
 /// Steps K sibling configurations in lockstep over one shared trace.
 ///
 /// Siblings must agree on everything except [`SimConfig::mitigation`]
 /// (checked at construction; see [`batch_key`]). Results come back in
-/// sibling order and are bit-identical to K sequential [`Simulator`]
+/// sibling order and are bit-identical to K sequential [`crate::Simulator`]
 /// runs of the same configurations.
 ///
 /// The trace type is cloned on fork: wrap a generator in a
@@ -119,13 +115,15 @@ pub struct BatchSimulator<T> {
     /// Sibling index → index into `classes`.
     class_of: Vec<usize>,
     classes: Vec<BatchClass<T>>,
-    power: PowerModel,
+    /// All classes share one phase clock, so a window is detailed or
+    /// skipped for every class at once.
+    clock: WindowClock,
     solver: BatchThermalSolver,
-    /// Scratch: per-lane `(activity, scale)` rows for the power phase.
-    rows: Vec<(ActivitySample, f64)>,
-    /// Scratch: distinct `(settled, dt_bits)` thermal groups, first-seen
-    /// order.
+    /// Scratch: distinct thermal steps of the window, first-seen order.
     groups: Vec<(bool, u64)>,
+    /// Scratch: one class's consult partitions; entries keep their
+    /// capacity across windows.
+    parts: Vec<Partition>,
 }
 
 impl<T: TraceSource + Clone> BatchSimulator<T> {
@@ -150,36 +148,34 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
                 )));
             }
         }
-        let energy = first.energy;
-        let frequency_hz = first.frequency_hz;
-        let sim = Simulator::new(configs[0].clone())?;
-        let mut managers = Vec::with_capacity(configs.len());
-        for c in &configs {
-            let sensors = Sensors::new(sim.floorplan()).map_err(Error::Config)?;
-            managers.push(ThermalManager::new(c.mitigation, sensors));
+        if first.cores != 1 {
+            return Err(Error::Config(format!(
+                "config requests {} cores; lockstep siblings are single-core",
+                first.cores
+            )));
         }
-        let power = PowerModel::new(sim.floorplan(), energy, frequency_hz)?;
-        let before = *sim.core().stats();
+        let die = Die::new(first, 1)?;
+        let managers = configs
+            .iter()
+            .map(|c| Ok(ThermalManager::new(c.mitigation, Sensors::new(&die.plan)?)))
+            .collect::<Result<_, Error>>()?;
         let classes = vec![BatchClass {
-            sim,
+            die,
             trace,
             members: (0..configs.len()).collect(),
             done: false,
-            pending: None,
-            dt: 0.0,
-            settled: false,
-            before,
-            stat_ctx: None,
+            step: (false, 0),
+            solve: false,
         }];
         Ok(BatchSimulator {
             class_of: vec![0; configs.len()],
+            clock: WindowClock::new(first),
             configs,
             managers,
             classes,
-            power,
             solver: BatchThermalSolver::new(),
-            rows: Vec::new(),
             groups: Vec::new(),
+            parts: Vec::new(),
         })
     }
 
@@ -229,14 +225,15 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
         cycles: u64,
         control: &RunControl<'_>,
     ) -> (Vec<RunResult>, StopCause) {
-        let cause = self.drive(cycles, control, true);
+        let cause = kernel::drive(self, cycles, control, true);
         (self.results(), cause)
     }
 
     /// Runs every sibling for up to `cycles` cycles **without consulting
-    /// any manager** — the batched mirror of [`Simulator::run_warmup`].
-    /// With no consults there is nothing to diverge on, so the batch stays
-    /// a single class throughout.
+    /// any manager** — the batched mirror of
+    /// [`Simulator::run_warmup`](crate::Simulator::run_warmup). With no
+    /// consults there is nothing to diverge on, so the batch stays a
+    /// single class throughout.
     pub fn run_warmup(&mut self, cycles: u64) {
         let _ = self.run_warmup_controlled(cycles, &RunControl::unlimited());
     }
@@ -244,7 +241,7 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// Like [`run_warmup`](Self::run_warmup), but checks `control` between
     /// sampling windows.
     pub fn run_warmup_controlled(&mut self, cycles: u64, control: &RunControl<'_>) -> StopCause {
-        self.drive(cycles, control, false)
+        kernel::drive(self, cycles, control, false)
     }
 
     /// Restores a warm-start snapshot into the (unforked) batch: the
@@ -262,7 +259,7 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
                 "restore_state requires an unforked batch (call it before running)".into(),
             ));
         }
-        self.classes[0].sim.restore_state(state)?;
+        self.classes[0].die.restore_scalar(&self.configs[0], state, &mut self.clock)?;
         for manager in &mut self.managers {
             manager.restore(&state.manager);
         }
@@ -275,184 +272,29 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     #[must_use]
     pub fn results(&self) -> Vec<RunResult> {
         (0..self.configs.len())
-            .map(|m| self.classes[self.class_of[m]].sim.result_with_stats(self.managers[m].stats()))
+            .map(|m| self.classes[self.class_of[m]].die.result(0, self.managers[m].stats()))
             .collect()
     }
 
-    fn any_live(&self) -> bool {
-        self.classes.iter().any(|c| !c.done)
-    }
-
-    fn drive(&mut self, cycles: u64, control: &RunControl<'_>, consult: bool) -> StopCause {
-        match self.configs[0].fidelity {
-            Fidelity::Exact => self.drive_exact(cycles, control, consult),
-            Fidelity::Fast => self.drive_fast(cycles, control, consult),
-        }
-    }
-
-    /// The Exact driver: every window runs cycle-by-cycle on each live
-    /// class, then the batched power/thermal/consult/stats phases.
-    fn drive_exact(&mut self, cycles: u64, control: &RunControl<'_>, consult: bool) -> StopCause {
-        let interval = self.configs[0].sample_interval;
-        let mut elapsed = 0u64;
-        while elapsed < cycles && self.any_live() {
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let window = interval.min(cycles - elapsed);
-            for class in &mut self.classes {
-                class.pending = None;
-                class.stat_ctx = None;
-                if class.done {
-                    continue;
-                }
-                let BatchClass { sim, trace, pending, .. } = class;
-                sim.run_window(trace, window);
-                *pending = sim.window_activity();
-            }
-            self.accumulate_power();
-            self.solve_thermal();
-            self.capture_stat_ctx();
-            if consult {
-                self.consult_and_fork();
-            }
-            self.finish_window(None);
-            elapsed += window;
-        }
-        StopCause::Completed
-    }
-
-    /// The Fast (interval-engine) driver. All classes share one phase
-    /// clock — `prefix_left`/`window_pos` evolve identically in lockstep
-    /// and are carried through forks — so a sub-interval is detailed or
-    /// skipped for every class at once.
-    fn drive_fast(&mut self, cycles: u64, control: &RunControl<'_>, consult: bool) -> StopCause {
-        let interval = self.configs[0].sample_interval;
-        let stretch = self.configs[0].fast_window / interval;
-        let mut elapsed = 0u64;
-        while elapsed < cycles && self.any_live() {
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let sub = interval.min(cycles - elapsed);
-            let (in_prefix, detailed) = {
-                let lead = self.classes.iter().find(|c| !c.done).expect("a live class exists");
-                let in_prefix = lead.sim.fast_in_prefix();
-                (in_prefix, in_prefix || lead.sim.fast_window_pos() == 0)
-            };
-            debug_assert!(
-                self.classes
-                    .iter()
-                    .filter(|c| !c.done)
-                    .all(|c| c.sim.fast_in_prefix() == in_prefix
-                        && (in_prefix || (c.sim.fast_window_pos() == 0) == detailed)),
-                "lockstep classes drifted out of phase"
-            );
-            if detailed {
-                for class in &mut self.classes {
-                    class.pending = None;
-                    class.stat_ctx = None;
-                    if class.done {
-                        continue;
-                    }
-                    class.before = *class.sim.core().stats();
-                    let BatchClass { sim, trace, pending, .. } = class;
-                    sim.run_window(trace, sub);
-                    *pending = sim.window_activity();
-                }
-                self.accumulate_power();
-                self.solve_thermal();
-                for class in &mut self.classes {
-                    if class.pending.is_some() {
-                        let before = class.before;
-                        class.sim.fast_record_window(&before);
-                    }
-                }
-                self.capture_stat_ctx();
-            } else {
-                for class in &mut self.classes {
-                    class.pending = None;
-                    class.stat_ctx = None;
-                    if class.done {
-                        continue;
-                    }
-                    let BatchClass { sim, trace, stat_ctx, .. } = class;
-                    let frozen = sim.fast_skip_advance(trace, sub);
-                    *stat_ctx = Some((frozen, sim.virtual_now()));
-                }
-            }
-            if consult {
-                self.consult_and_fork();
-            }
-            self.finish_window(Some((in_prefix, sub, stretch)));
-            elapsed += sub;
-        }
-        StopCause::Completed
-    }
-
-    /// Power phase: one batched accumulation over every class that ran
-    /// this window, each lane scaled by its representative's current
-    /// (pre-consult) dynamic-power scale — the scale every member of the
-    /// class shares by the partition invariant.
-    fn accumulate_power(&mut self) {
-        self.rows.clear();
-        let mut outs: Vec<&mut [f64]> = Vec::with_capacity(self.classes.len());
-        for class in &mut self.classes {
-            if let Some(activity) = class.pending {
-                let scale = self.managers[class.members[0]].dynamic_power_scale();
-                debug_assert!(
-                    class.members.iter().all(|&m| self.managers[m].dynamic_power_scale() == scale),
-                    "class members disagree on dynamic power scale"
-                );
-                self.rows.push((activity, scale));
-                outs.push(class.sim.watts_mut());
-            }
-        }
-        self.power.block_power_many_into(&self.rows, &mut outs);
-    }
-
-    /// Thermal phase: group live classes by `(settled, dt)` — identical
-    /// for all in the common lockstep case — and run one SoA solve per
-    /// group, each reusing a single LU factorization across its lanes.
+    /// Thermal phase: group the window's classes by thermal step —
+    /// identical for all in the common lockstep case — and run one SoA
+    /// solve per group, each reusing a single LU factorization across its
+    /// lanes.
     fn solve_thermal(&mut self) {
         self.groups.clear();
-        for class in &mut self.classes {
-            if let Some(activity) = class.pending {
-                let (dt, settled) = class.sim.sample_prepare(&activity);
-                class.dt = dt;
-                class.settled = settled;
-                let key = (settled, dt.to_bits());
-                if !self.groups.contains(&key) {
-                    self.groups.push(key);
-                }
+        for class in self.classes.iter().filter(|c| !c.done) {
+            if !self.groups.contains(&class.step) {
+                self.groups.push(class.step);
             }
         }
-        let groups = std::mem::take(&mut self.groups);
-        for &(settled, dt_bits) in &groups {
-            let mut lanes: Vec<(&mut ThermalModel, &[f64])> = self
-                .classes
-                .iter_mut()
-                .filter(|c| {
-                    c.pending.is_some() && c.settled == settled && c.dt.to_bits() == dt_bits
-                })
-                .map(|c| c.sim.thermal_lane())
-                .collect();
+        for &(settled, dt_bits) in &self.groups {
+            for class in &mut self.classes {
+                class.solve = !class.done && class.step == (settled, dt_bits);
+            }
             if settled {
-                self.solver.settle_many(&mut lanes);
+                self.solver.settle_many(&mut self.classes);
             } else {
-                self.solver.step_many(&mut lanes, f64::from_bits(dt_bits));
-            }
-        }
-        self.groups = groups;
-    }
-
-    /// Captures `(was_frozen, virtual_now)` per class after the thermal
-    /// solve and before any consult — the same instant the scalar sample
-    /// reads them.
-    fn capture_stat_ctx(&mut self) {
-        for class in &mut self.classes {
-            if class.pending.is_some() {
-                class.stat_ctx = Some((class.sim.core().is_frozen(), class.sim.virtual_now()));
+                self.solver.step_many(&mut self.classes, f64::from_bits(dt_bits));
             }
         }
     }
@@ -466,91 +308,125 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
     /// post-state, without double-applying core side effects such as a
     /// register-file restore charge).
     fn consult_and_fork(&mut self) {
-        let original = self.classes.len();
-        for ci in 0..original {
-            let Some((_, now)) = self.classes[ci].stat_ctx else {
+        let mut parts = std::mem::take(&mut self.parts);
+        for ci in 0..self.classes.len() {
+            let class = &self.classes[ci];
+            if class.done {
                 continue;
-            };
-            let (int_iq, fp_iq) = self.classes[ci].sim.window_iqs();
-            let mut partitions: Vec<Partition> = Vec::new();
-            {
-                let class = &self.classes[ci];
-                let core = class.sim.core();
-                let temps = class.sim.thermal().temperatures();
-                for &m in &class.members {
-                    self.managers[m].decide(core, temps, now, &int_iq, &fp_iq);
-                    let scale_bits = self.managers[m].projected_power_scale().to_bits();
-                    let actions = self.managers[m].decided_actions();
-                    match partitions
-                        .iter_mut()
-                        .find(|p| p.scale_bits == scale_bits && p.actions.as_slice() == actions)
-                    {
-                        Some(p) => p.members.push(m),
-                        None => partitions.push(Partition {
-                            actions: actions.to_vec(),
-                            scale_bits,
-                            members: vec![m],
-                        }),
+            }
+            let lane = &class.die.lanes[0];
+            let (now, int_iq, fp_iq) = lane.consult_inputs();
+            let temps = class.die.thermal.temperatures();
+            let mut used = 0;
+            for &m in &class.members {
+                let manager = &mut self.managers[m];
+                manager.decide(&lane.core, temps, now, &int_iq, &fp_iq);
+                let scale_bits = manager.projected_power_scale().to_bits();
+                let actions = manager.decided_actions();
+                let found = parts[..used]
+                    .iter_mut()
+                    .find(|p| p.scale_bits == scale_bits && p.actions == actions);
+                match found {
+                    Some(p) => p.members.push(m),
+                    None => {
+                        if used == parts.len() {
+                            parts.push(Partition::default());
+                        }
+                        let p = &mut parts[used];
+                        p.actions.clear();
+                        p.actions.extend_from_slice(actions);
+                        p.scale_bits = scale_bits;
+                        p.members.clear();
+                        p.members.push(m);
+                        used += 1;
                     }
                 }
             }
             // Fork before applying anything: every child branches from the
             // exact state the decisions were made against.
-            let mut targets = vec![ci];
-            if partitions.len() > 1 {
-                let state = self.classes[ci].sim.state();
-                for part in &partitions[1..] {
-                    let mut sim = Simulator::new(self.configs[part.members[0]].clone())
-                        .expect("sibling configs were validated at construction");
-                    sim.restore_state(&state)
-                        .expect("fork restores into an identically shaped simulator");
-                    let parent = &self.classes[ci];
-                    let child = BatchClass {
-                        sim,
-                        trace: parent.trace.clone(),
-                        members: part.members.clone(),
-                        done: parent.done,
-                        pending: None,
-                        dt: parent.dt,
-                        settled: parent.settled,
-                        before: parent.before,
-                        stat_ctx: parent.stat_ctx,
-                    };
-                    for &m in &part.members {
-                        self.class_of[m] = self.classes.len();
-                    }
-                    targets.push(self.classes.len());
-                    self.classes.push(child);
+            parts[0].target = ci;
+            for part in &mut parts[1..used] {
+                let parent = &self.classes[ci];
+                let child = BatchClass {
+                    die: parent.die.fork(&self.configs[part.members[0]]),
+                    trace: parent.trace.clone(),
+                    members: part.members.clone(),
+                    ..*parent
+                };
+                part.target = self.classes.len();
+                for &m in &part.members {
+                    self.class_of[m] = part.target;
                 }
-                self.classes[ci].members = partitions[0].members.clone();
+                self.classes.push(child);
             }
-            for (part, &target) in partitions.iter().zip(&targets) {
+            if used > 1 {
+                self.classes[ci].members.clone_from(&parts[0].members);
+            }
+            for part in &parts[..used] {
                 let rep = part.members[0];
-                self.managers[rep].apply_decided(self.classes[target].sim.core_mut());
+                self.managers[rep].apply_decided(&mut self.classes[part.target].die.lanes[0].core);
                 let snap = self.managers[rep].snapshot();
                 for &m in &part.members[1..] {
                     self.managers[m].restore(&snap);
                 }
             }
         }
+        self.parts = parts;
     }
 
-    /// Statistics phase: every class that ran this window (children
-    /// included — they inherited the parent's pre-consult context)
-    /// accumulates its temperature statistics, ticks the Fast phase clock
-    /// when `fast` carries `(in_prefix, sub, stretch)`, and refreshes its
-    /// done flag.
-    fn finish_window(&mut self, fast: Option<(bool, u64, u64)>) {
-        for class in &mut self.classes {
-            if let Some((was_frozen, now)) = class.stat_ctx.take() {
-                class.sim.sample_stats(was_frozen, now);
-                if let Some((in_prefix, sub, stretch)) = fast {
-                    class.sim.fast_tick(in_prefix, sub, stretch);
-                }
-                class.done = class.sim.core().is_done();
-            }
-            class.pending = None;
+    /// Ends a window: consult (and fork), then every class that ran —
+    /// children included, they inherited the parent's pre-consult
+    /// context — accumulates its statistics and refreshes its done flag.
+    fn finish(&mut self, consult: bool) {
+        if consult {
+            self.consult_and_fork();
         }
+        for class in self.classes.iter_mut().filter(|c| !c.done) {
+            class.die.account();
+            class.done = class.die.lanes[0].core.is_done();
+        }
+    }
+}
+
+impl<T: TraceSource + Clone> Engine for BatchSimulator<T> {
+    fn clock(&mut self) -> &mut WindowClock {
+        &mut self.clock
+    }
+
+    fn live(&mut self) -> bool {
+        self.classes.iter().any(|c| !c.done)
+    }
+
+    /// Every live class runs the window cycle by cycle, then one batched
+    /// power and thermal phase, each class's power scaled by its
+    /// representative's current (pre-consult) dynamic-power scale — the
+    /// scale every member shares by the partition invariant.
+    fn detailed(&mut self, window: u64, record: bool, consult: bool) -> u64 {
+        for class in self.classes.iter_mut().filter(|c| !c.done) {
+            class.die.lanes[0].cycles(&mut class.trace, window);
+            let scale = self.managers[class.members[0]].dynamic_power_scale();
+            debug_assert!(
+                class.members.iter().all(|&m| self.managers[m].dynamic_power_scale() == scale),
+                "class members disagree on dynamic power scale"
+            );
+            let ran = class.die.harvest(Some(scale));
+            let (dt, settled) = class.die.plan_step(window, ran);
+            class.step = (settled, dt.to_bits());
+        }
+        self.solve_thermal();
+        for class in self.classes.iter_mut().filter(|c| !c.done) {
+            class.die.sense(record);
+        }
+        self.finish(consult);
+        window
+    }
+
+    fn skipped(&mut self, window: u64, consult: bool) {
+        for class in self.classes.iter_mut().filter(|c| !c.done) {
+            class.die.skip_thermal(window, |_| true);
+            class.die.lanes[0].skip(&mut class.trace, window);
+        }
+        self.finish(consult);
     }
 }
 
@@ -558,6 +434,7 @@ impl<T: TraceSource + Clone> BatchSimulator<T> {
 mod tests {
     use super::*;
     use crate::experiments::{self, PolicyKind};
+    use crate::{Fidelity, Simulator};
     use powerbalance_isa::TraceCursor;
     use powerbalance_thermal::ev6::FloorplanKind;
     use powerbalance_workloads::spec2000;

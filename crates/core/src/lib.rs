@@ -42,6 +42,7 @@ mod batch;
 mod config;
 mod error;
 pub mod experiments;
+mod kernel;
 mod multicore;
 mod result;
 mod simulator;

@@ -8,40 +8,40 @@
 //! [`TaskSet`]) onto free cores; moving a job between cores charges a
 //! fetch-stall migration penalty.
 //!
+//! # What this engine adds to the window kernel
+//!
+//! The engine is an N-lane die of the window kernel ([`crate::kernel`]):
+//! the per-lane power, the die-wide thermal step (idle lanes leak), each
+//! lane's consult against its temperature slice, the statistics, and
+//! the interval engine — with one die-global clock, so all lanes are
+//! detailed together and skipped together — are the kernel's. This
+//! module adds only dispatch (the scheduler places pending segments on
+//! free lanes before each window), the migration stall a lane burns
+//! before it cycles, the budget-limiting trace wrapper, and retirement.
+//!
 //! # The N = 1 contract
 //!
 //! A 1-core `MultiCoreSimulator` running one unbounded segment is
 //! **bit-identical** to the scalar [`Simulator`] on the same trace: the
-//! replicated floorplan is a clone, the per-lane sampling phases reuse
-//! the scalar helpers' exact ordering, and the unbounded
-//! [`BudgetedTrace`] wrapper is a pure passthrough. The release-mode
-//! equivalence suite (`tests/multicore_equivalence.rs`) enforces this
-//! across floorplans, fidelities, and policy families. (The one
-//! documented exception: a [`SchedulerKind::Threshold`] policy may defer
-//! work and insert idle-cooling windows the scalar engine has no notion
-//! of.)
+//! scalar engine is the same kernel die with one lane, the replicated
+//! floorplan is a clone, and the unbounded [`BudgetedTrace`] wrapper is
+//! a pure passthrough. The release-mode equivalence suite
+//! (`tests/multicore_equivalence.rs`) enforces this across floorplans,
+//! fidelities, and policy families. (The one documented exception: a
+//! [`SchedulerKind::Threshold`] policy may defer work and insert
+//! idle-cooling windows the scalar engine has no notion of.)
 //!
-//! # Sampling windows
-//!
-//! Each window, every busy lane runs up to `sample_interval` cycles
-//! (consuming any pending migration stall first), then one die-wide
-//! sense/react step runs: per-lane activity → per-lane power into the
-//! lane's slice of the die power vector (idle lanes contribute leakage
-//! only) → one thermal solve → per-lane mitigation consult against the
-//! lane's temperature slice. Under [`Fidelity::Fast`] the macro-window
-//! clock is die-global: all lanes are detailed together and skipped
-//! together, so the shared thermal solve always sees one coherent die.
+//! [`Simulator`]: crate::Simulator
+//! [`SchedulerKind::Threshold`]: crate::SchedulerKind::Threshold
 
-use crate::config::Fidelity;
-use crate::simulator::{FastState, RunControl, StopCause};
-use crate::snapshot::{decode_bits, encode_bits, FastEngineState};
-use crate::{BlockTemperature, Error, RunResult, SimConfig};
+use crate::kernel::{self, Die, Engine, LaneParts, WindowClock};
+use crate::snapshot::{encode_bits, FastEngineState};
+use crate::{BlockTemperature, Error, RunControl, RunResult, SimConfig, StopCause};
 use powerbalance_isa::{MicroOp, TraceSource};
-use powerbalance_mitigation::{ManagerState, Sensors, ThermalManager};
-use powerbalance_power::PowerModel;
+use powerbalance_mitigation::{ManagerState, ThermalManager};
 use powerbalance_sched::{CoreView, Scheduler, SegmentLen, Task, DEFAULT_MIGRATION_STALL};
-use powerbalance_thermal::{ev6, multicore, Floorplan, ThermalModel};
-use powerbalance_uarch::{ActivitySample, Core, CoreState, CoreStats};
+use powerbalance_thermal::{multicore, Floorplan, ThermalModel};
+use powerbalance_uarch::{Core, CoreState};
 use serde::{Deserialize, Serialize};
 
 /// Lifecycle of one segment in a [`TaskSet`].
@@ -171,38 +171,6 @@ impl<T: TraceSource> TraceSource for BudgetedTrace<'_, T> {
         };
         self.inner.skip_ops(take);
     }
-}
-
-/// One core's private state inside the multi-core engine: the pipeline,
-/// its own mitigation manager (per-core thermal zones over the core's
-/// floorplan slice), its temperature statistics, and its lane of the
-/// interval engine.
-#[derive(Debug)]
-struct Lane {
-    core: Core,
-    manager: ThermalManager,
-    temp_sum: Vec<f64>,
-    temp_samples: u64,
-    temp_max: Vec<f64>,
-    /// Interval-engine basis and extrapolated totals for this lane. The
-    /// die-global macro-window clock lives on the simulator
-    /// (`fast_prefix_left` / `fast_window_pos`); the per-lane copies of
-    /// those two fields stay at zero.
-    fast: FastState,
-    /// Index into the [`TaskSet`] of the running segment, if any.
-    task: Option<usize>,
-    /// Remaining migration fetch-stall cycles, consumed from the front
-    /// of the next window(s) before the core cycles.
-    stall_left: u64,
-    /// Activity harvested by the current sampling window (`None` for an
-    /// idle window); scratch, never snapshotted.
-    win_act: Option<ActivitySample>,
-    /// Core stats at the start of the current detailed window (interval
-    /// engine extrapolation basis capture); scratch.
-    before: CoreStats,
-    /// Freeze state captured at the top of a skipped sub-interval;
-    /// scratch.
-    skip_frozen: bool,
 }
 
 /// Serialized dynamic state of one lane.
@@ -357,39 +325,93 @@ impl MultiCoreResult {
 #[derive(Debug)]
 pub struct MultiCoreSimulator {
     config: SimConfig,
-    /// The per-core floorplan (what each lane's power model, sensors,
-    /// and reported block names use).
-    core_plan: Floorplan,
-    /// The full die: `cores` translated copies of `core_plan`.
-    die_plan: Floorplan,
-    power: PowerModel,
-    thermal: ThermalModel,
+    die: Die,
+    clock: WindowClock,
     scheduler: Box<dyn Scheduler + Send>,
-    lanes: Vec<Lane>,
-    /// Blocks per core (`core_plan.blocks().len()`).
-    blocks: usize,
-    warmed: bool,
-    /// Die-wide per-block power scratch (lane `c` owns the slice
-    /// `c*blocks..(c+1)*blocks`); never snapshotted.
-    watts: Vec<f64>,
-    /// Leakage-only power of one idle core; derived, never snapshotted.
-    idle_watts: Vec<f64>,
+    /// Per-lane dispatch state, parallel to the die's lanes.
+    slots: Vec<Slot>,
     /// Scheduler-view scratch.
     views: Vec<CoreView>,
-    /// Die-global interval-engine clock (see [`FastState`] docs).
-    fast_prefix_left: u64,
-    fast_window_pos: u64,
     migrations: u64,
     migration_stall_cycles: u64,
     tasks_completed: u64,
     /// Which core last ran each job (small linear map; campaigns run a
     /// handful of jobs).
     job_cores: Vec<JobCore>,
-    /// Per-lane checkers, parallel to `lanes`; empty until
-    /// [`enable_checking`](Self::enable_checking). Checker 0 addition-
-    /// ally owns the die-level thermal and cross-core watches.
-    #[cfg(feature = "check")]
-    checkers: Vec<powerbalance_check::RuntimeChecker>,
+}
+
+/// What one lane is running.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Index into the [`TaskSet`] of the running segment, if any.
+    task: Option<usize>,
+    /// Remaining migration fetch-stall cycles, consumed from the front
+    /// of the next window(s) before the core cycles.
+    stall_left: u64,
+}
+
+/// A [`MultiCoreSimulator`] dispatching from its task set through the
+/// window kernel.
+struct Multi<'a, T> {
+    sim: &'a mut MultiCoreSimulator,
+    tasks: &'a mut TaskSet<T>,
+}
+
+impl<T: TraceSource> Engine for Multi<'_, T> {
+    fn clock(&mut self) -> &mut WindowClock {
+        &mut self.sim.clock
+    }
+
+    fn live(&mut self) -> bool {
+        self.sim.dispatch(self.tasks);
+        // A pending head after dispatch means the scheduler deferred it
+        // and the die should idle-cool.
+        self.sim.slots.iter().any(|s| s.task.is_some()) || self.tasks.first_pending().is_some()
+    }
+
+    /// Runs every busy lane for up to `window` cycles (migration stall
+    /// first, then pipeline cycles), then the die-wide sense/react step;
+    /// the clock advances the full window unless *every* busy lane ended
+    /// early, and the full window when no lane is busy (idle cooling).
+    fn detailed(&mut self, window: u64, record: bool, consult: bool) -> u64 {
+        let sim = &mut *self.sim;
+        let mut advanced = 0u64;
+        let mut any_busy = false;
+        for (lane, slot) in sim.die.lanes.iter_mut().zip(&mut sim.slots) {
+            let Some(idx) = slot.task else {
+                continue;
+            };
+            any_busy = true;
+            let stall = slot.stall_left.min(window);
+            slot.stall_left -= stall;
+            sim.migration_stall_cycles += stall;
+            let (trace, left) = self.tasks.payload_mut(idx);
+            let ran = lane.cycles(&mut BudgetedTrace { inner: trace, left }, window - stall);
+            advanced = advanced.max(stall + ran);
+        }
+        sim.die.sample(window, record, consult);
+        sim.retire(self.tasks);
+        if any_busy {
+            advanced
+        } else {
+            window
+        }
+    }
+
+    /// The die-global clock skips every lane together against one held
+    /// power vector; idle lanes leak and are not sampled.
+    fn skipped(&mut self, window: u64, consult: bool) {
+        let MultiCoreSimulator { die, slots, .. } = &mut *self.sim;
+        die.skip_thermal(window, |c| slots[c].task.is_some());
+        for (lane, slot) in die.lanes.iter_mut().zip(slots.iter()) {
+            if let Some(idx) = slot.task {
+                let (trace, left) = self.tasks.payload_mut(idx);
+                lane.skip(&mut BudgetedTrace { inner: trace, left }, window);
+            }
+        }
+        die.close_skip(consult);
+        self.sim.retire(self.tasks);
+    }
 }
 
 impl MultiCoreSimulator {
@@ -403,58 +425,17 @@ impl MultiCoreSimulator {
     /// parameters.
     pub fn new(config: SimConfig) -> Result<Self, Error> {
         config.validate()?;
-        let core_plan = ev6::build(config.floorplan);
-        let die_plan = multicore::replicate(&core_plan, config.cores);
-        let power = PowerModel::new(&core_plan, config.energy, config.frequency_hz)?;
-        let thermal = ThermalModel::new(&die_plan, config.package);
-        let scheduler = config.scheduler.build(config.mitigation.thresholds.max_temp);
-        let blocks = core_plan.blocks().len();
-        let mut idle_watts = vec![0.0; blocks];
-        power.block_power_into(&ActivitySample::default(), &mut idle_watts);
-        let fast_prefix_left = match config.fidelity {
-            Fidelity::Fast => config.fast_warmup,
-            Fidelity::Exact => 0,
-        };
-        let mut lanes = Vec::with_capacity(config.cores);
-        for _ in 0..config.cores {
-            let core = Core::new(config.core.clone())?;
-            let sensors = Sensors::new(&core_plan)?;
-            let manager = ThermalManager::new(config.mitigation, sensors);
-            lanes.push(Lane {
-                core,
-                manager,
-                temp_sum: vec![0.0; blocks],
-                temp_samples: 0,
-                temp_max: vec![f64::MIN; blocks],
-                fast: FastState { window_watts: vec![0.0; blocks], ..FastState::default() },
-                task: None,
-                stall_left: 0,
-                win_act: None,
-                before: CoreStats::default(),
-                skip_frozen: false,
-            });
-        }
         Ok(MultiCoreSimulator {
+            die: Die::new(&config, config.cores)?,
+            clock: WindowClock::new(&config),
+            scheduler: config.scheduler.build(config.mitigation.thresholds.max_temp),
+            slots: vec![Slot::default(); config.cores],
             views: vec![CoreView { temp: 0.0, free: true }; config.cores],
-            watts: vec![0.0; blocks * config.cores],
             config,
-            core_plan,
-            die_plan,
-            power,
-            thermal,
-            scheduler,
-            lanes,
-            blocks,
-            warmed: false,
-            idle_watts,
-            fast_prefix_left,
-            fast_window_pos: 0,
             migrations: 0,
             migration_stall_cycles: 0,
             tasks_completed: 0,
             job_cores: Vec::new(),
-            #[cfg(feature = "check")]
-            checkers: Vec::new(),
         })
     }
 
@@ -467,37 +448,37 @@ impl MultiCoreSimulator {
     /// The full die floorplan (all cores tiled).
     #[must_use]
     pub fn die_floorplan(&self) -> &Floorplan {
-        &self.die_plan
+        &self.die.die_plan
     }
 
     /// The per-core floorplan.
     #[must_use]
     pub fn core_floorplan(&self) -> &Floorplan {
-        &self.core_plan
+        &self.die.plan
     }
 
     /// Number of cores on the die.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.lanes.len()
+        self.die.lanes.len()
     }
 
     /// Immutable access to core `c`'s pipeline.
     #[must_use]
     pub fn core(&self, c: usize) -> &Core {
-        &self.lanes[c].core
+        &self.die.lanes[c].core
     }
 
     /// Core `c`'s mitigation manager.
     #[must_use]
     pub fn manager(&self, c: usize) -> &ThermalManager {
-        &self.lanes[c].manager
+        &self.die.lanes[c].manager
     }
 
     /// The shared die thermal model.
     #[must_use]
     pub fn thermal(&self) -> &ThermalModel {
-        &self.thermal
+        &self.die.thermal
     }
 
     /// Runs for up to `cycles` die cycles, dispatching from `tasks`,
@@ -516,7 +497,8 @@ impl MultiCoreSimulator {
         cycles: u64,
         control: &RunControl<'_>,
     ) -> (MultiCoreResult, StopCause) {
-        let cause = self.drive(tasks, cycles, control, true);
+        self.reconcile(tasks);
+        let cause = kernel::drive(&mut Multi { sim: self, tasks }, cycles, control, true);
         (self.result(), cause)
     }
 
@@ -538,83 +520,8 @@ impl MultiCoreSimulator {
         cycles: u64,
         control: &RunControl<'_>,
     ) -> StopCause {
-        self.drive(tasks, cycles, control, false)
-    }
-
-    /// The shared outer loop of `run`/`run_warmup`. Mirrors the scalar
-    /// engine's loop structure exactly (dispatch replaces the scalar
-    /// `is_done` check): budget check, liveness check, stop check, one
-    /// window, one sample, retirement.
-    fn drive<T: TraceSource>(
-        &mut self,
-        tasks: &mut TaskSet<T>,
-        cycles: u64,
-        control: &RunControl<'_>,
-        consult: bool,
-    ) -> StopCause {
         self.reconcile(tasks);
-        if self.config.fidelity == Fidelity::Fast {
-            return self.drive_fast(tasks, cycles, control, consult);
-        }
-        let mut elapsed = 0u64;
-        loop {
-            self.dispatch(tasks);
-            if elapsed >= cycles || self.all_idle(tasks) {
-                return StopCause::Completed;
-            }
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let window = self.config.sample_interval.min(cycles - elapsed);
-            elapsed += self.run_lanes_window(tasks, window);
-            self.sample(window, consult);
-            self.retire(tasks);
-        }
-    }
-
-    /// The die-global interval engine: the macro-window clock is shared,
-    /// so every lane is detailed together and analytically skipped
-    /// together against one coherent held power vector.
-    fn drive_fast<T: TraceSource>(
-        &mut self,
-        tasks: &mut TaskSet<T>,
-        cycles: u64,
-        control: &RunControl<'_>,
-        consult: bool,
-    ) -> StopCause {
-        let stretch = self.config.fast_window / self.config.sample_interval;
-        let mut elapsed = 0u64;
-        loop {
-            self.dispatch(tasks);
-            if elapsed >= cycles || self.all_idle(tasks) {
-                return StopCause::Completed;
-            }
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let sub = self.config.sample_interval.min(cycles - elapsed);
-            let in_prefix = self.fast_prefix_left > 0;
-            if in_prefix || self.fast_window_pos == 0 {
-                for lane in &mut self.lanes {
-                    if lane.task.is_some() {
-                        lane.before = *lane.core.stats();
-                    }
-                }
-                elapsed += self.run_lanes_window(tasks, sub);
-                self.sample(sub, consult);
-                self.fast_record_windows();
-            } else {
-                elapsed += sub;
-                self.fast_skip_advance(tasks, sub);
-                self.fast_skip_consult(consult);
-            }
-            self.retire(tasks);
-            if in_prefix {
-                self.fast_prefix_left = self.fast_prefix_left.saturating_sub(sub);
-            } else {
-                self.fast_window_pos = (self.fast_window_pos + 1) % stretch;
-            }
-        }
+        kernel::drive(&mut Multi { sim: self, tasks }, cycles, control, false)
     }
 
     /// Requeues segments marked running on a lane that does not actually
@@ -624,19 +531,11 @@ impl MultiCoreSimulator {
     fn reconcile<T: TraceSource>(&self, tasks: &mut TaskSet<T>) {
         for (idx, seg) in tasks.segments.iter_mut().enumerate() {
             if let SegState::Running(c) = seg.state {
-                if self.lanes.get(c).and_then(|l| l.task) != Some(idx) {
+                if self.slots.get(c).and_then(|s| s.task) != Some(idx) {
                     seg.state = SegState::Pending;
                 }
             }
         }
-    }
-
-    /// `true` when no lane has a running segment and nothing more can
-    /// dispatch (the set is drained, or every remaining segment is
-    /// deferred — the caller just dispatched, so a pending head here
-    /// means the scheduler refused it and the die should idle-cool).
-    fn all_idle<T: TraceSource>(&self, tasks: &TaskSet<T>) -> bool {
-        self.lanes.iter().all(|l| l.task.is_none()) && tasks.first_pending().is_none()
     }
 
     /// Places pending segments onto free cores until the scheduler
@@ -644,12 +543,10 @@ impl MultiCoreSimulator {
     /// queue.
     fn dispatch<T: TraceSource>(&mut self, tasks: &mut TaskSet<T>) {
         while let Some(idx) = tasks.first_pending() {
-            let temps = self.thermal.temperatures();
             for (c, view) in self.views.iter_mut().enumerate() {
-                let slice = &temps[c * self.blocks..(c + 1) * self.blocks];
                 *view = CoreView {
-                    temp: slice.iter().copied().fold(f64::MIN, f64::max),
-                    free: self.lanes[c].task.is_none(),
+                    temp: self.die.temps(c).iter().copied().fold(f64::MIN, f64::max),
+                    free: self.slots[c].task.is_none(),
                 };
             }
             let Some(c) = self.scheduler.select(&self.views) else {
@@ -661,16 +558,15 @@ impl MultiCoreSimulator {
             }
             let job = tasks.segments[idx].job;
             tasks.segments[idx].state = SegState::Running(c);
-            let lane = &mut self.lanes[c];
-            lane.task = Some(idx);
+            self.slots[c].task = Some(idx);
             // A lane whose previous segment drained its trace latched
             // `trace_done`; the new segment has its own trace.
-            lane.core.reset_trace_done();
+            self.die.lanes[c].core.reset_trace_done();
             match self.job_cores.iter_mut().find(|jc| jc.job == job) {
                 Some(jc) => {
                     if jc.core != c {
                         self.migrations += 1;
-                        lane.stall_left += DEFAULT_MIGRATION_STALL;
+                        self.slots[c].stall_left += DEFAULT_MIGRATION_STALL;
                         jc.core = c;
                     }
                 }
@@ -679,277 +575,16 @@ impl MultiCoreSimulator {
         }
     }
 
-    /// Runs every busy lane for up to `window` cycles (migration stall
-    /// first, then pipeline cycles); returns how far the die clock
-    /// advanced — the full window unless *every* busy lane ended early,
-    /// and the full window when no lane is busy (idle cooling).
-    fn run_lanes_window<T: TraceSource>(&mut self, tasks: &mut TaskSet<T>, window: u64) -> u64 {
-        let mut advanced = 0u64;
-        let mut any_busy = false;
-        for c in 0..self.lanes.len() {
-            let Some(idx) = self.lanes[c].task else {
-                continue;
-            };
-            any_busy = true;
-            let stall = self.lanes[c].stall_left.min(window);
-            if stall > 0 {
-                self.lanes[c].stall_left -= stall;
-                self.migration_stall_cycles += stall;
-            }
-            let (trace, left) = tasks.payload_mut(idx);
-            let mut src = BudgetedTrace { inner: trace, left };
-            let ran = self.lane_cycles(c, &mut src, window - stall);
-            advanced = advanced.max(stall + ran);
-        }
-        if any_busy {
-            advanced
-        } else {
-            window
-        }
-    }
-
-    /// Cycles lane `c` up to `budget` times, bracketed by its runtime
-    /// checker when one is armed; stops early when the segment drains.
-    fn lane_cycles<T: TraceSource>(
-        &mut self,
-        c: usize,
-        src: &mut BudgetedTrace<'_, T>,
-        budget: u64,
-    ) -> u64 {
-        let lane = &mut self.lanes[c];
-        let mut ran = 0u64;
-        #[cfg(feature = "check")]
-        if let Some(checker) = self.checkers.get_mut(c) {
-            for _ in 0..budget {
-                checker.before_cycle(&lane.core);
-                lane.core.cycle(src);
-                checker.after_cycle(&mut lane.core);
-                ran += 1;
-                if lane.core.is_done() {
-                    break;
-                }
-            }
-            return ran;
-        }
-        for _ in 0..budget {
-            lane.core.cycle(src);
-            ran += 1;
-            if lane.core.is_done() {
-                break;
-            }
-        }
-        ran
-    }
-
     /// Retires segments whose core has drained (trace exhausted or op
     /// budget spent, pipeline empty).
     fn retire<T: TraceSource>(&mut self, tasks: &mut TaskSet<T>) {
-        for lane in &mut self.lanes {
-            if let Some(idx) = lane.task {
+        for (lane, slot) in self.die.lanes.iter().zip(&mut self.slots) {
+            if let Some(idx) = slot.task {
                 if lane.core.is_done() {
                     tasks.segments[idx].state = SegState::Done;
-                    lane.task = None;
+                    slot.task = None;
                     self.tasks_completed += 1;
                 }
-            }
-        }
-    }
-
-    /// One die-wide sense/react step: per-lane activity → per-lane
-    /// power into the die vector → one thermal solve → per-lane consult
-    /// and statistics. Phase order within each lane mirrors the scalar
-    /// [`Simulator::sample`] exactly.
-    ///
-    /// [`Simulator::sample`]: crate::Simulator
-    fn sample(&mut self, window: u64, consult: bool) {
-        let blocks = self.blocks;
-        let mut max_cycles = 0u64;
-        for (c, lane) in self.lanes.iter_mut().enumerate() {
-            let chunk = &mut self.watts[c * blocks..(c + 1) * blocks];
-            let activity = lane.core.take_activity();
-            if activity.cycles == 0 {
-                // Idle (or fully stalled) lane: leakage only.
-                chunk.copy_from_slice(&self.idle_watts);
-                lane.win_act = None;
-                continue;
-            }
-            max_cycles = max_cycles.max(activity.cycles);
-            lane.fast.window_int_iq = activity.int_iq;
-            lane.fast.window_fp_iq = activity.fp_iq;
-            let scale = lane.manager.dynamic_power_scale();
-            // One-lane invocation of the batched power kernel: the
-            // `scale == 1.0` arm delegates to the identical scalar
-            // routine, which is what keeps N = 1 bit-identical.
-            self.power
-                .block_power_many_into(std::slice::from_ref(&(activity, scale)), &mut [chunk]);
-            lane.win_act = Some(activity);
-        }
-        // Idle-cooling windows advance by the window length; busy
-        // windows by the longest lane activity (== the scalar dt).
-        let dt_cycles = if max_cycles == 0 { window } else { max_cycles };
-        let dt = dt_cycles as f64 / self.config.frequency_hz;
-        let settled = self.config.warm_start && !self.warmed;
-        if settled {
-            self.warmed = true;
-            self.thermal.settle(&self.watts);
-        } else {
-            self.thermal.step(&self.watts, dt);
-        }
-        #[cfg(feature = "check")]
-        if let Some(checker) = self.checkers.first_mut() {
-            let now = self.lanes[0].core.stats().cycles + self.lanes[0].fast.extra_cycles;
-            checker.check_thermal(&self.thermal, &self.watts, dt, settled, now);
-        }
-        let temps = self.thermal.temperatures();
-        for (c, lane) in self.lanes.iter_mut().enumerate() {
-            let Some(activity) = lane.win_act else {
-                continue;
-            };
-            let slice = &temps[c * blocks..(c + 1) * blocks];
-            let was_frozen = lane.core.is_frozen();
-            let now = lane.core.stats().cycles + lane.fast.extra_cycles;
-            if consult {
-                #[cfg(feature = "check")]
-                let mut checker = self.checkers.get_mut(c);
-                #[cfg(feature = "check")]
-                if let Some(checker) = checker.as_mut() {
-                    checker.before_sample(&lane.core, &lane.manager);
-                }
-                lane.manager.on_sample(
-                    &mut lane.core,
-                    slice,
-                    now,
-                    &activity.int_iq,
-                    &activity.fp_iq,
-                );
-                #[cfg(feature = "check")]
-                if let Some(checker) = checker.as_mut() {
-                    checker.after_sample(
-                        &lane.core,
-                        &lane.manager,
-                        slice,
-                        now,
-                        &activity.int_iq,
-                        &activity.fp_iq,
-                    );
-                }
-            }
-            if !was_frozen {
-                for (sum, t) in lane.temp_sum.iter_mut().zip(slice) {
-                    *sum += t;
-                }
-                lane.temp_samples += 1;
-            }
-            for (max, t) in lane.temp_max.iter_mut().zip(slice) {
-                *max = max.max(*t);
-            }
-        }
-    }
-
-    /// Per-lane analogue of the scalar `fast_record_window`: captures
-    /// each busy lane's window deltas as its extrapolation basis and
-    /// blends its slice of the measured power into the held vector
-    /// (EWMA, α = 1/2; straight copy on a lane's first detailed
-    /// window).
-    fn fast_record_windows(&mut self) {
-        let blocks = self.blocks;
-        for (c, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.win_act.is_none() {
-                continue;
-            }
-            let chunk = &self.watts[c * blocks..(c + 1) * blocks];
-            let first_sample = lane.fast.sample_cycles == 0;
-            let after = lane.core.stats();
-            lane.fast.sample_cycles = after.cycles - lane.before.cycles;
-            lane.fast.sample_committed = after.committed - lane.before.committed;
-            lane.fast.sample_fetched = after.fetched - lane.before.fetched;
-            lane.fast.sample_frozen = after.frozen_cycles - lane.before.frozen_cycles;
-            lane.fast.sample_throttled = after.throttled_cycles - lane.before.throttled_cycles;
-            lane.fast.sample_fetch_gated =
-                after.fetch_gated_cycles - lane.before.fetch_gated_cycles;
-            if first_sample {
-                lane.fast.window_watts.copy_from_slice(chunk);
-            } else {
-                for (held, w) in lane.fast.window_watts.iter_mut().zip(chunk) {
-                    *held = 0.5 * *held + 0.5 * w;
-                }
-            }
-        }
-    }
-
-    /// One analytically skipped sub-interval: compose the die's held
-    /// power vector (per-lane held watts; idle leakage for idle or
-    /// frozen lanes), advance the RC network in closed form, then
-    /// fast-forward each busy lane's workload and extrapolated
-    /// counters. Mirrors the scalar `fast_skip_advance` per lane.
-    fn fast_skip_advance<T: TraceSource>(&mut self, tasks: &mut TaskSet<T>, sub: u64) {
-        let blocks = self.blocks;
-        let dt = sub as f64 / self.config.frequency_hz;
-        for (c, lane) in self.lanes.iter_mut().enumerate() {
-            lane.skip_frozen = lane.core.is_frozen();
-            let chunk = &mut self.watts[c * blocks..(c + 1) * blocks];
-            if lane.task.is_some() && !lane.skip_frozen {
-                chunk.copy_from_slice(&lane.fast.window_watts);
-            } else {
-                chunk.copy_from_slice(&self.idle_watts);
-            }
-        }
-        self.thermal.advance(&self.watts, dt);
-        for lane in &mut self.lanes {
-            let Some(idx) = lane.task else {
-                continue;
-            };
-            if lane.skip_frozen {
-                lane.fast.extra_cycles += sub;
-                lane.fast.extra_frozen += sub;
-            } else {
-                lane.fast.extra_cycles += sub;
-                let len = lane.fast.sample_cycles;
-                let (trace, left) = tasks.payload_mut(idx);
-                let mut src = BudgetedTrace { inner: trace, left };
-                src.skip_ops(FastState::scaled(lane.fast.sample_fetched, sub, len));
-                lane.fast.extra_committed +=
-                    FastState::scaled(lane.fast.sample_committed, sub, len);
-                lane.fast.extra_frozen += FastState::scaled(lane.fast.sample_frozen, sub, len);
-                lane.fast.extra_throttled +=
-                    FastState::scaled(lane.fast.sample_throttled, sub, len);
-                lane.fast.extra_fetch_gated +=
-                    FastState::scaled(lane.fast.sample_fetch_gated, sub, len);
-            }
-        }
-        // The closed-form advance is outside the backward-Euler
-        // residual's reach; re-base the die-level watches.
-        #[cfg(feature = "check")]
-        if let Some(checker) = self.checkers.first_mut() {
-            checker.resync_thermal(&self.thermal);
-        }
-    }
-
-    /// The consult + statistics tail of a skipped sub-interval: each
-    /// busy lane's manager sees the analytically advanced temperatures
-    /// of its own slice at its own virtual time, fed the held IQ
-    /// activity — the scalar skip path, per lane.
-    fn fast_skip_consult(&mut self, consult: bool) {
-        let blocks = self.blocks;
-        let temps = self.thermal.temperatures();
-        for (c, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.task.is_none() {
-                continue;
-            }
-            let slice = &temps[c * blocks..(c + 1) * blocks];
-            let now = lane.core.stats().cycles + lane.fast.extra_cycles;
-            if consult {
-                let (int_iq, fp_iq) = (lane.fast.window_int_iq, lane.fast.window_fp_iq);
-                lane.manager.on_sample(&mut lane.core, slice, now, &int_iq, &fp_iq);
-            }
-            if !lane.skip_frozen {
-                for (sum, t) in lane.temp_sum.iter_mut().zip(slice) {
-                    *sum += t;
-                }
-                lane.temp_samples += 1;
-            }
-            for (max, t) in lane.temp_max.iter_mut().zip(slice) {
-                *max = max.max(*t);
             }
         }
     }
@@ -958,61 +593,10 @@ impl MultiCoreSimulator {
     #[must_use]
     pub fn result(&self) -> MultiCoreResult {
         MultiCoreResult {
-            cores: (0..self.lanes.len()).map(|c| self.lane_result(c)).collect(),
+            cores: (0..self.cores()).map(|c| self.die.result(c, self.manager(c).stats())).collect(),
             migrations: self.migrations,
             migration_stall_cycles: self.migration_stall_cycles,
             tasks_completed: self.tasks_completed,
-        }
-    }
-
-    /// One lane's [`RunResult`], mirroring the scalar construction
-    /// field for field (bit-identical at N = 1).
-    fn lane_result(&self, c: usize) -> RunResult {
-        let lane = &self.lanes[c];
-        let base = c * self.blocks;
-        let stats = lane.core.stats();
-        let mstats = lane.manager.stats();
-        let samples = lane.temp_samples.max(1) as f64;
-        let temperatures = self
-            .core_plan
-            .blocks()
-            .iter()
-            .enumerate()
-            .map(|(i, b)| BlockTemperature {
-                name: b.name.clone(),
-                avg: if lane.temp_samples == 0 {
-                    self.thermal.temperature(base + i)
-                } else {
-                    lane.temp_sum[i] / samples
-                },
-                max: if lane.temp_max[i] == f64::MIN {
-                    self.thermal.temperature(base + i)
-                } else {
-                    lane.temp_max[i]
-                },
-                last: self.thermal.temperature(base + i),
-            })
-            .collect();
-        let cycles = stats.cycles + lane.fast.extra_cycles;
-        let committed = stats.committed + lane.fast.extra_committed;
-        RunResult {
-            cycles,
-            committed,
-            ipc: if cycles == 0 { 0.0 } else { committed as f64 / cycles as f64 },
-            frozen_cycles: stats.frozen_cycles + lane.fast.extra_frozen,
-            toggles: mstats.toggles,
-            alu_turnoffs: mstats.alu_turnoffs,
-            rf_turnoffs: mstats.rf_turnoffs,
-            freezes: mstats.freezes,
-            opp_transitions: mstats.opp_transitions,
-            duty_shifts: mstats.duty_shifts,
-            throttled_cycles: stats.throttled_cycles + lane.fast.extra_throttled,
-            fetch_gated_cycles: stats.fetch_gated_cycles + lane.fast.extra_fetch_gated,
-            temperatures,
-            int_issued_per_unit: stats.int_issued_per_unit,
-            int_rf_reads: stats.int_rf_reads,
-            mispredict_rate: lane.core.bpred().mispredict_rate(),
-            l1d_miss_rate: lane.core.memory().l1d().miss_rate(),
         }
     }
 
@@ -1022,40 +606,16 @@ impl MultiCoreSimulator {
     #[must_use]
     pub fn state(&self) -> MultiCoreState {
         MultiCoreState {
-            lanes: self
-                .lanes
-                .iter()
-                .map(|lane| LaneState {
-                    core: lane.core.snapshot(),
-                    manager: lane.manager.snapshot(),
-                    temp_sum_bits: encode_bits(&lane.temp_sum),
-                    temp_max_bits: encode_bits(&lane.temp_max),
-                    temp_samples: lane.temp_samples,
-                    fast: FastEngineState {
-                        prefix_left: 0,
-                        window_pos: 0,
-                        window_watts_bits: encode_bits(&lane.fast.window_watts),
-                        window_int_iq: lane.fast.window_int_iq,
-                        window_fp_iq: lane.fast.window_fp_iq,
-                        sample_cycles: lane.fast.sample_cycles,
-                        sample_committed: lane.fast.sample_committed,
-                        sample_fetched: lane.fast.sample_fetched,
-                        sample_frozen: lane.fast.sample_frozen,
-                        sample_throttled: lane.fast.sample_throttled,
-                        sample_fetch_gated: lane.fast.sample_fetch_gated,
-                        extra_cycles: lane.fast.extra_cycles,
-                        extra_committed: lane.fast.extra_committed,
-                        extra_frozen: lane.fast.extra_frozen,
-                        extra_throttled: lane.fast.extra_throttled,
-                        extra_fetch_gated: lane.fast.extra_fetch_gated,
-                    },
-                    stall_left: lane.stall_left,
+            lanes: (0..self.cores())
+                .map(|c| LaneState {
+                    stall_left: self.slots[c].stall_left,
+                    ..self.die.lanes[c].state()
                 })
                 .collect(),
-            thermal_node_bits: encode_bits(self.thermal.node_temperatures()),
-            warmed: self.warmed,
-            fast_prefix_left: self.fast_prefix_left,
-            fast_window_pos: self.fast_window_pos,
+            thermal_node_bits: encode_bits(self.die.thermal.node_temperatures()),
+            warmed: self.die.warmed,
+            fast_prefix_left: self.clock.prefix_left,
+            fast_window_pos: self.clock.window_pos,
             sched_word: self.scheduler.state_word(),
             migrations: self.migrations,
             migration_stall_cycles: self.migration_stall_cycles,
@@ -1067,68 +627,26 @@ impl MultiCoreSimulator {
     /// Restores dynamic state captured by [`state`](Self::state) into a
     /// simulator built from the same configuration. Lanes come back
     /// idle; the next `run` re-dispatches from the caller's [`TaskSet`].
+    /// The restore is all or nothing: a rejected state leaves the
+    /// simulator untouched.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] naming the first piece of state that
     /// does not fit this simulator.
     pub fn restore_state(&mut self, state: &MultiCoreState) -> Result<(), Error> {
-        if state.lanes.len() != self.lanes.len() {
-            return Err(Error::Config(format!(
-                "state covers {} lanes, die has {}",
-                state.lanes.len(),
-                self.lanes.len()
-            )));
+        let parts: Vec<LaneParts<'_>> = state.lanes.iter().map(LaneParts::from).collect();
+        self.die.restore(&self.config, &parts, &state.thermal_node_bits, state.warmed)?;
+        for (slot, lane) in self.slots.iter_mut().zip(&state.lanes) {
+            *slot = Slot { task: None, stall_left: lane.stall_left };
         }
-        for (c, (lane, ls)) in self.lanes.iter_mut().zip(&state.lanes).enumerate() {
-            if ls.temp_sum_bits.len() != self.blocks
-                || ls.temp_max_bits.len() != self.blocks
-                || ls.fast.window_watts_bits.len() != self.blocks
-            {
-                return Err(Error::Config(format!(
-                    "lane {c} state vectors do not match the {}-block floorplan",
-                    self.blocks
-                )));
-            }
-            lane.core
-                .restore(&ls.core)
-                .map_err(|e| Error::Config(format!("lane {c} core: {e}")))?;
-            lane.manager.restore(&ls.manager);
-            lane.temp_sum = decode_bits(&ls.temp_sum_bits);
-            lane.temp_max = decode_bits(&ls.temp_max_bits);
-            lane.temp_samples = ls.temp_samples;
-            lane.fast.window_watts = decode_bits(&ls.fast.window_watts_bits);
-            lane.fast.window_int_iq = ls.fast.window_int_iq;
-            lane.fast.window_fp_iq = ls.fast.window_fp_iq;
-            lane.fast.sample_cycles = ls.fast.sample_cycles;
-            lane.fast.sample_committed = ls.fast.sample_committed;
-            lane.fast.sample_fetched = ls.fast.sample_fetched;
-            lane.fast.sample_frozen = ls.fast.sample_frozen;
-            lane.fast.sample_throttled = ls.fast.sample_throttled;
-            lane.fast.sample_fetch_gated = ls.fast.sample_fetch_gated;
-            lane.fast.extra_cycles = ls.fast.extra_cycles;
-            lane.fast.extra_committed = ls.fast.extra_committed;
-            lane.fast.extra_frozen = ls.fast.extra_frozen;
-            lane.fast.extra_throttled = ls.fast.extra_throttled;
-            lane.fast.extra_fetch_gated = ls.fast.extra_fetch_gated;
-            lane.stall_left = ls.stall_left;
-            lane.task = None;
-        }
-        self.thermal
-            .restore_node_temperatures(&decode_bits(&state.thermal_node_bits))
-            .map_err(|e| Error::Config(format!("thermal: {e}")))?;
-        self.warmed = state.warmed;
-        self.fast_prefix_left = state.fast_prefix_left;
-        self.fast_window_pos = state.fast_window_pos;
+        self.clock.prefix_left = state.fast_prefix_left;
+        self.clock.window_pos = state.fast_window_pos;
         self.scheduler.restore_word(state.sched_word);
         self.migrations = state.migrations;
         self.migration_stall_cycles = state.migration_stall_cycles;
         self.tasks_completed = state.tasks_completed;
         self.job_cores = state.job_cores.clone();
-        #[cfg(feature = "check")]
-        if !self.checkers.is_empty() {
-            self.enable_checking()?;
-        }
         Ok(())
     }
 
@@ -1144,43 +662,21 @@ impl MultiCoreSimulator {
     /// blocks the mitigation mirror needs.
     #[cfg(feature = "check")]
     pub fn enable_checking(&mut self) -> Result<(), Error> {
-        self.checkers.clear();
-        for lane in &mut self.lanes {
-            lane.core.enable_op_log();
-            let checker = powerbalance_check::RuntimeChecker::new(
-                &self.core_plan,
-                &self.config.mitigation,
-                &lane.core,
-                &self.thermal,
-            )
-            .map_err(Error::Config)?;
-            self.checkers.push(checker);
-        }
-        if self.lanes.len() > 1 {
-            if let Some(checker) = self.checkers.first_mut() {
-                checker.enable_crosscore(self.lanes.len(), self.blocks, &self.thermal);
-            }
-        }
-        Ok(())
+        self.die.enable_checking(&self.config)
     }
 
     /// Closes out every lane's oracle and returns all retained
     /// violations across lanes. Empty when checking was never enabled.
     #[cfg(feature = "check")]
     pub fn finish_checking(&mut self) -> Vec<powerbalance_check::Violation> {
-        let mut all = Vec::new();
-        for (lane, checker) in self.lanes.iter().zip(&mut self.checkers) {
-            checker.finish(&lane.core);
-            all.extend_from_slice(checker.violations());
-        }
-        all
+        self.die.finish_checking()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
+    use crate::{Fidelity, Simulator};
     use powerbalance_workloads::spec2000;
 
     fn trace(name: &str, seed: u64) -> powerbalance_workloads::TraceGenerator {
@@ -1333,5 +829,20 @@ mod tests {
         let value = serde::json::Value::parse(&json).expect("valid JSON");
         let back: MultiCoreState = Deserialize::deserialize(&value).expect("round trip");
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn rejected_restore_leaves_the_die_untouched() {
+        let cfg = SimConfig { cores: 2, ..SimConfig::default() };
+        let mut source = MultiCoreSimulator::new(cfg.clone()).expect("valid config");
+        source.run(&mut TaskSet::one_per_job([trace("gzip", 3), trace("mesa", 11)]), 40_000);
+        let mut bad = source.state();
+        bad.thermal_node_bits.pop();
+
+        let mut sim = MultiCoreSimulator::new(cfg).expect("valid config");
+        sim.run(&mut TaskSet::one_per_job([trace("crafty", 5), trace("eon", 7)]), 20_000);
+        let before = sim.state();
+        assert!(sim.restore_state(&bad).is_err(), "truncated die temperatures are rejected");
+        assert_eq!(sim.state(), before, "a rejected restore changes no lane");
     }
 }

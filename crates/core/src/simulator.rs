@@ -1,13 +1,11 @@
 //! The top-level simulator: core + power + thermal + mitigation.
 
-use crate::config::Fidelity;
-use crate::snapshot::{decode_bits, encode_bits};
-use crate::{BlockTemperature, Error, RunResult, SimConfig, SimulatorState};
+use crate::kernel::{self, Die, Engine, WindowClock};
+use crate::{Error, RunResult, SimConfig, SimulatorState};
 use powerbalance_isa::TraceSource;
-use powerbalance_mitigation::{MitigationStats, Sensors, ThermalManager};
-use powerbalance_power::PowerModel;
-use powerbalance_thermal::{ev6, Floorplan, ThermalModel};
-use powerbalance_uarch::{ActivitySample, Core, CoreStats, IqActivity};
+use powerbalance_mitigation::ThermalManager;
+use powerbalance_thermal::{Floorplan, ThermalModel};
+use powerbalance_uarch::Core;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -87,76 +85,13 @@ impl<'a> RunControl<'a> {
     }
 }
 
-/// Dynamic state of the interval engine: where we are in the macro
-/// window, the power vector held from the last detailed sampling window,
-/// the statistics deltas that window produced (the extrapolation basis),
-/// and the running extrapolated totals for the analytically skipped
-/// sub-intervals. All of it is simulation state — a mid-window snapshot
-/// must resume bit-exactly — so the whole struct rides along in
-/// [`SimulatorState`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FastState {
-    /// Detailed warmup-prefix cycles still to run before interval
-    /// sampling engages ([`SimConfig::fast_warmup`]); while positive,
-    /// every sub-interval is simulated in detail and `window_pos` stays
-    /// at zero. (The multi-core engine keeps this clock die-global and
-    /// leaves the per-lane copies at zero.)
-    pub(crate) prefix_left: u64,
-    /// Sub-intervals completed in the current macro window; `0` means the
-    /// next sub-interval is simulated in detail.
-    pub(crate) window_pos: u64,
-    /// Per-block power measured by the last detailed window, held constant
-    /// across the analytic advances that follow it.
-    pub(crate) window_watts: Vec<f64>,
-    /// Integer issue-queue activity of the last detailed window, replayed
-    /// into skipped-interval mitigation consults so the toggling
-    /// controller keeps seeing which queue half is compaction-active.
-    pub(crate) window_int_iq: IqActivity,
-    /// FP issue-queue activity of the last detailed window.
-    pub(crate) window_fp_iq: IqActivity,
-    /// Core cycles the last detailed window actually ran (its length).
-    pub(crate) sample_cycles: u64,
-    /// Instructions committed during the last detailed window.
-    pub(crate) sample_committed: u64,
-    /// Micro-ops fetched (consumed from the trace) during the last
-    /// detailed window; the basis for fast-forwarding the workload across
-    /// skipped sub-intervals.
-    pub(crate) sample_fetched: u64,
-    /// Frozen cycles during the last detailed window.
-    pub(crate) sample_frozen: u64,
-    /// Throttled cycles during the last detailed window.
-    pub(crate) sample_throttled: u64,
-    /// Fetch-gated cycles during the last detailed window.
-    pub(crate) sample_fetch_gated: u64,
-    /// Cycles skipped (advanced analytically) so far.
-    pub(crate) extra_cycles: u64,
-    /// Commits attributed to skipped cycles by extrapolation.
-    pub(crate) extra_committed: u64,
-    /// Frozen cycles attributed to skipped cycles.
-    pub(crate) extra_frozen: u64,
-    /// Throttled cycles attributed to skipped cycles.
-    pub(crate) extra_throttled: u64,
-    /// Fetch-gated cycles attributed to skipped cycles.
-    pub(crate) extra_fetch_gated: u64,
-}
-
-impl FastState {
-    /// Extrapolates one of the detailed window's counters over `skipped`
-    /// cycles, proportionally to the window's own length.
-    pub(crate) fn scaled(basis: u64, skipped: u64, window_len: u64) -> u64 {
-        if window_len == 0 {
-            return 0;
-        }
-        (u128::from(basis) * u128::from(skipped) / u128::from(window_len)) as u64
-    }
-}
-
 /// A complete thermal/performance simulation of one CPU configuration.
 ///
 /// Drives the cycle-level core, converts its activity into per-block power
 /// each sampling window, steps the RC thermal model, and lets the
 /// mitigation manager react to the new temperatures — the same
 /// sense/react loop the paper's SimpleScalar + Wattch + HotSpot setup runs.
+/// It is one lane of the window kernel over its own thermal model.
 ///
 /// # Examples
 ///
@@ -172,34 +107,41 @@ impl FastState {
 #[derive(Debug)]
 pub struct Simulator {
     config: SimConfig,
-    plan: Floorplan,
-    core: Core,
-    power: PowerModel,
-    thermal: ThermalModel,
-    manager: ThermalManager,
-    /// Per-block running sums for averages over non-stalled samples.
-    temp_sum: Vec<f64>,
-    temp_samples: u64,
-    temp_max: Vec<f64>,
-    warmed: bool,
-    /// Per-block power scratch reused every sampling window; pure scratch,
-    /// never snapshotted.
-    watts: Vec<f64>,
-    /// Per-block power of a fully idle (frozen) core: pure leakage.
-    /// Derived from the configuration, so never snapshotted. The interval
-    /// engine advances with this vector while the core is frozen, matching
-    /// what the power model reports for an activity-free window.
-    idle_watts: Vec<f64>,
+    die: Die,
+    clock: WindowClock,
     /// Optional per-sample temperature trace: `(cycle, temps)` rows.
     history: Option<Vec<(u64, Vec<f64>)>>,
-    /// Interval-engine state ([`Fidelity::Fast`]); inert zeros under
-    /// [`Fidelity::Exact`], whose code path never reads it.
-    fast: FastState,
-    /// Differential oracle + invariant checkers, armed by
-    /// [`enable_checking`](Simulator::enable_checking). Boxed: the checker
-    /// is diagnostic tooling and should not widen the simulator itself.
-    #[cfg(feature = "check")]
-    checker: Option<Box<powerbalance_check::RuntimeChecker>>,
+}
+
+/// A [`Simulator`] driving its trace through the window kernel.
+struct Scalar<'a, T> {
+    sim: &'a mut Simulator,
+    trace: &'a mut T,
+}
+
+impl<T: TraceSource> Engine for Scalar<'_, T> {
+    fn clock(&mut self) -> &mut WindowClock {
+        &mut self.sim.clock
+    }
+
+    fn live(&mut self) -> bool {
+        !self.sim.die.lanes[0].core.is_done()
+    }
+
+    fn detailed(&mut self, window: u64, record: bool, consult: bool) -> u64 {
+        let ran = self.sim.die.lanes[0].cycles(self.trace, window);
+        self.sim.die.sample(window, record, consult);
+        self.sim.push_history();
+        ran
+    }
+
+    fn skipped(&mut self, window: u64, consult: bool) {
+        let die = &mut self.sim.die;
+        die.skip_thermal(window, |_| true);
+        die.lanes[0].skip(self.trace, window);
+        die.close_skip(consult);
+        self.sim.push_history();
+    }
 }
 
 impl Simulator {
@@ -217,56 +159,12 @@ impl Simulator {
                 config.cores
             )));
         }
-        let plan = ev6::build(config.floorplan);
-        let core = Core::new(config.core.clone())?;
-        let power = PowerModel::new(&plan, config.energy, config.frequency_hz)?;
-        let thermal = ThermalModel::new(&plan, config.package);
-        let sensors = Sensors::new(&plan)?;
-        let manager = ThermalManager::new(config.mitigation, sensors);
-        let blocks = plan.blocks().len();
-        let mut idle_watts = vec![0.0; blocks];
-        power.block_power_into(&ActivitySample::default(), &mut idle_watts);
-        let prefix_left = match config.fidelity {
-            Fidelity::Fast => config.fast_warmup,
-            Fidelity::Exact => 0,
-        };
         Ok(Simulator {
+            die: Die::new(&config, 1)?,
+            clock: WindowClock::new(&config),
             config,
-            plan,
-            core,
-            power,
-            thermal,
-            manager,
-            temp_sum: vec![0.0; blocks],
-            temp_samples: 0,
-            temp_max: vec![f64::MIN; blocks],
-            warmed: false,
-            watts: vec![0.0; blocks],
-            idle_watts,
             history: None,
-            fast: FastState {
-                prefix_left,
-                window_watts: vec![0.0; blocks],
-                ..FastState::default()
-            },
-            #[cfg(feature = "check")]
-            checker: None,
         })
-    }
-
-    /// Advances the core one cycle, bracketed by the runtime checker when
-    /// one is armed. With the `check` feature off this is exactly
-    /// `Core::cycle` — the hot loop stays allocation- and branch-free.
-    #[inline]
-    fn checked_cycle<T: TraceSource>(&mut self, trace: &mut T) {
-        #[cfg(feature = "check")]
-        if let Some(checker) = &mut self.checker {
-            checker.before_cycle(&self.core);
-            self.core.cycle(trace);
-            checker.after_cycle(&mut self.core);
-            return;
-        }
-        self.core.cycle(trace);
     }
 
     /// The configuration this simulator was built with.
@@ -278,25 +176,25 @@ impl Simulator {
     /// The floorplan in use.
     #[must_use]
     pub fn floorplan(&self) -> &Floorplan {
-        &self.plan
+        &self.die.plan
     }
 
     /// Immutable access to the core (stats, predictor, caches).
     #[must_use]
     pub fn core(&self) -> &Core {
-        &self.core
+        &self.die.lanes[0].core
     }
 
     /// Immutable access to the thermal model (current temperatures).
     #[must_use]
     pub fn thermal(&self) -> &ThermalModel {
-        &self.thermal
+        &self.die.thermal
     }
 
     /// The mitigation manager (toggle/turnoff/freeze counters).
     #[must_use]
     pub fn manager(&self) -> &ThermalManager {
-        &self.manager
+        &self.die.lanes[0].manager
     }
 
     /// Starts recording one `(cycle, temperatures)` row per thermal sample.
@@ -316,6 +214,17 @@ impl Simulator {
     #[must_use]
     pub fn history(&self) -> Option<&[(u64, Vec<f64>)]> {
         self.history.as_deref()
+    }
+
+    /// Appends the window's history row (virtual cycle stamp) when
+    /// recording and the window sampled.
+    fn push_history(&mut self) {
+        let lane = &self.die.lanes[0];
+        if let Some(history) = &mut self.history {
+            if lane.sampled {
+                history.push((lane.now(), self.die.thermal.temperatures().to_vec()));
+            }
+        }
     }
 
     /// Runs for up to `cycles` cycles (or until the trace drains) and
@@ -340,24 +249,7 @@ impl Simulator {
         cycles: u64,
         control: &RunControl<'_>,
     ) -> (RunResult, StopCause) {
-        if self.config.fidelity == Fidelity::Fast {
-            let cause = self.run_fast(trace, cycles, control, true);
-            return (self.result(), cause);
-        }
-        // `Core::cycle` advances the counter by exactly one, so an elapsed
-        // tally replaces the repeated `self.core.stats().cycles` reads the
-        // loop head would otherwise pay per window.
-        let mut elapsed = 0u64;
-        let mut cause = StopCause::Completed;
-        while elapsed < cycles && !self.core.is_done() {
-            if let Some(stop) = control.stop_cause() {
-                cause = stop;
-                break;
-            }
-            let window = self.config.sample_interval.min(cycles - elapsed);
-            elapsed += self.run_window(trace, window);
-            self.sample(true);
-        }
+        let cause = kernel::drive(&mut Scalar { sim: self, trace }, cycles, control, true);
         (self.result(), cause)
     }
 
@@ -386,353 +278,7 @@ impl Simulator {
         cycles: u64,
         control: &RunControl<'_>,
     ) -> StopCause {
-        if self.config.fidelity == Fidelity::Fast {
-            return self.run_fast(trace, cycles, control, false);
-        }
-        let mut elapsed = 0u64;
-        while elapsed < cycles && !self.core.is_done() {
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let window = self.config.sample_interval.min(cycles - elapsed);
-            elapsed += self.run_window(trace, window);
-            self.sample(false);
-        }
-        StopCause::Completed
-    }
-
-    /// Advances the core cycle-by-cycle for up to `window` cycles, stopping
-    /// early when the trace drains; returns the cycles actually run.
-    ///
-    /// One phase of a sampling window. The phases
-    /// ([`run_window`](Self::run_window) →
-    /// [`window_activity`](Self::window_activity) → power →
-    /// [`sample_prepare`](Self::sample_prepare) → thermal →
-    /// [`sample_stats`](Self::sample_stats)) are split out so the batched
-    /// campaign engine ([`crate::BatchSimulator`]) can drive each phase
-    /// across all lockstep siblings before moving to the next; the scalar
-    /// [`sample`](Self::sample) chains them directly, which is what keeps
-    /// the two paths bit-identical by construction.
-    pub(crate) fn run_window<T: TraceSource>(&mut self, trace: &mut T, window: u64) -> u64 {
-        let mut ran = 0u64;
-        for _ in 0..window {
-            self.checked_cycle(trace);
-            ran += 1;
-            if self.core.is_done() {
-                break;
-            }
-        }
-        ran
-    }
-
-    /// The interval engine ([`Fidelity::Fast`]).
-    ///
-    /// The first [`SimConfig::fast_warmup`] cycles run fully detailed —
-    /// sampling every sub-interval like Exact — so the branch predictor
-    /// and caches reach their trained steady state before any
-    /// extrapolation happens; without the prefix the core would train
-    /// `stretch×` slower and the die would run systematically colder for
-    /// the whole run. After the prefix, time is diced into sub-intervals
-    /// of one `sample_interval` each,
-    /// `fast_window / sample_interval` of them per macro window. The first
-    /// sub-interval of each window is simulated cycle-by-cycle and ends in
-    /// the ordinary [`sample`](Self::sample). The remaining sub-intervals
-    /// hold that window's power vector constant, advance the RC network
-    /// analytically ([`ThermalModel::advance`]), fast-forward the workload
-    /// ([`TraceSource::skip_ops`]), and extrapolate the window's
-    /// throughput counters over the skipped cycles.
-    ///
-    /// Mitigation keeps its Exact-mode cadence: skipped sub-intervals end
-    /// in a manager consult too, fed the analytically advanced
-    /// temperatures and the held IQ activity, so trip points, hysteresis
-    /// loops, and freeze/OPP schedules all play out against the same
-    /// sampling clock as an Exact run. All timestamps handed to the
-    /// manager are *virtual* cycles (core cycles + skipped cycles), which
-    /// is what keeps cooling times and transition stalls the right length
-    /// in simulated time. While the core is frozen, skipped sub-intervals
-    /// advance with the idle (leakage-only) power vector — exactly what
-    /// the power model reports for an activity-free window — so the die
-    /// cools and the thaw happens when Exact's would.
-    ///
-    /// The runtime checker is exercised on detailed samples only — the
-    /// backward-Euler residual check does not apply to the closed-form
-    /// advance.
-    fn run_fast<T: TraceSource>(
-        &mut self,
-        trace: &mut T,
-        cycles: u64,
-        control: &RunControl<'_>,
-        consult_manager: bool,
-    ) -> StopCause {
-        let stretch = self.config.fast_window / self.config.sample_interval;
-        let mut elapsed = 0u64;
-        while elapsed < cycles && !self.core.is_done() {
-            if let Some(stop) = control.stop_cause() {
-                return stop;
-            }
-            let sub = self.config.sample_interval.min(cycles - elapsed);
-            let in_prefix = self.fast.prefix_left > 0;
-            if in_prefix || self.fast.window_pos == 0 {
-                let before = *self.core.stats();
-                elapsed += self.run_window(trace, sub);
-                self.sample(consult_manager);
-                self.fast_record_window(&before);
-            } else {
-                elapsed += sub;
-                let frozen = self.fast_skip_advance(trace, sub);
-                // Keep the mitigation loop on its Exact-mode cadence: one
-                // consult per sampling interval, at virtual time, against
-                // the analytically advanced temperatures.
-                let now = self.virtual_now();
-                if consult_manager {
-                    self.manager.on_sample(
-                        &mut self.core,
-                        self.thermal.temperatures(),
-                        now,
-                        &self.fast.window_int_iq,
-                        &self.fast.window_fp_iq,
-                    );
-                }
-                // Mirror the statistics a detailed sample would record.
-                self.sample_stats(frozen, now);
-            }
-            self.fast_tick(in_prefix, sub, stretch);
-        }
-        StopCause::Completed
-    }
-
-    /// Records the throughput deltas and power vector of the detailed
-    /// sub-interval that just ended (core stats snapshotted in `before`) as
-    /// the extrapolation basis for the skipped sub-intervals that follow.
-    ///
-    /// Must run after [`sample`](Self::sample) (or, in the batched engine,
-    /// after the power phase) so `self.watts` holds the window's measured
-    /// power.
-    pub(crate) fn fast_record_window(&mut self, before: &CoreStats) {
-        // Nothing between the window's start and this call mutates the
-        // basis, so "is this the first detailed window?" can be read here.
-        let first_sample = self.fast.sample_cycles == 0;
-        let after = self.core.stats();
-        self.fast.sample_cycles = after.cycles - before.cycles;
-        self.fast.sample_committed = after.committed - before.committed;
-        self.fast.sample_fetched = after.fetched - before.fetched;
-        self.fast.sample_frozen = after.frozen_cycles - before.frozen_cycles;
-        self.fast.sample_throttled = after.throttled_cycles - before.throttled_cycles;
-        self.fast.sample_fetch_gated = after.fetch_gated_cycles - before.fetch_gated_cycles;
-        if first_sample {
-            self.fast.window_watts.copy_from_slice(&self.watts);
-        } else {
-            // One detailed window is a noisy estimate of the power
-            // the skipped cycles will dissipate; blending recent
-            // windows halves the estimator variance at the cost of
-            // one macro window of lag (EWMA, α = 1/2).
-            for (held, w) in self.fast.window_watts.iter_mut().zip(&self.watts) {
-                *held = 0.5 * *held + 0.5 * w;
-            }
-        }
-    }
-
-    /// Advances one analytically skipped sub-interval of `sub` cycles:
-    /// closed-form thermal advance, workload fast-forward, extrapolated
-    /// counter updates. Returns whether the core was frozen at entry —
-    /// the `was_frozen` the caller must hand to
-    /// [`sample_stats`](Self::sample_stats), captured before any consult.
-    pub(crate) fn fast_skip_advance<T: TraceSource>(&mut self, trace: &mut T, sub: u64) -> bool {
-        let dt = sub as f64 / self.config.frequency_hz;
-        let frozen = self.core.is_frozen();
-        if frozen {
-            // A frozen core fetches, commits, and switches nothing:
-            // the die sees pure leakage and the whole sub-interval
-            // is stall time.
-            self.thermal.advance(&self.idle_watts, dt);
-            self.fast.extra_cycles += sub;
-            self.fast.extra_frozen += sub;
-        } else {
-            self.thermal.advance(&self.fast.window_watts, dt);
-            self.fast.extra_cycles += sub;
-            let len = self.fast.sample_cycles;
-            // Fast-forward the workload past the instructions the
-            // skipped cycles would have consumed, so the next
-            // detailed window samples the phase of the program
-            // that virtual time has actually reached.
-            trace.skip_ops(FastState::scaled(self.fast.sample_fetched, sub, len));
-            self.fast.extra_committed += FastState::scaled(self.fast.sample_committed, sub, len);
-            self.fast.extra_frozen += FastState::scaled(self.fast.sample_frozen, sub, len);
-            self.fast.extra_throttled += FastState::scaled(self.fast.sample_throttled, sub, len);
-            self.fast.extra_fetch_gated +=
-                FastState::scaled(self.fast.sample_fetch_gated, sub, len);
-        }
-        // The closed-form advance is outside the backward-Euler
-        // residual's reach; re-base the checker so the next
-        // detailed step is measured from the advanced state.
-        #[cfg(feature = "check")]
-        if let Some(checker) = &mut self.checker {
-            checker.resync_thermal(&self.thermal);
-        }
-        frozen
-    }
-
-    /// Closes one Fast sub-interval: burns warmup-prefix budget or steps
-    /// the macro-window phase counter.
-    pub(crate) fn fast_tick(&mut self, in_prefix: bool, sub: u64, stretch: u64) {
-        if in_prefix {
-            // The prefix is detailed wall-to-wall; the macro-window
-            // phase only starts counting once it is spent, so the
-            // first post-prefix sub-interval begins a fresh window.
-            self.fast.prefix_left = self.fast.prefix_left.saturating_sub(sub);
-        } else {
-            self.fast.window_pos = (self.fast.window_pos + 1) % stretch;
-        }
-    }
-
-    /// One sense/react step: power → thermal → (optionally) mitigation →
-    /// statistics. Chains the window phases the batched engine drives
-    /// individually; keeping the scalar path on the same helpers is what
-    /// pins batched execution bit-identical to scalar.
-    fn sample(&mut self, consult_manager: bool) {
-        let Some(activity) = self.window_activity() else {
-            return;
-        };
-        // DVFS scales dynamic energy by V²f; the unscaled path is kept for
-        // the common case so spatial-only runs execute the identical code.
-        let scale = self.manager.dynamic_power_scale();
-        if scale == 1.0 {
-            self.power.block_power_into(&activity, &mut self.watts);
-        } else {
-            self.power.block_power_scaled_into(&activity, scale, &mut self.watts);
-        }
-        let (dt, settled) = self.sample_prepare(&activity);
-        if settled {
-            // Jump to this workload's own steady state instead of heating
-            // from ambient for millions of cycles.
-            self.thermal.settle(&self.watts);
-        } else {
-            self.thermal.step(&self.watts, dt);
-        }
-
-        // Temperatures are borrowed from the thermal model everywhere
-        // below; the only copy made is the optional history row.
-        let was_frozen = self.core.is_frozen();
-        // Virtual time: under Exact the offset is always zero; under Fast
-        // this keeps manager deadlines (cooling times, transition stalls)
-        // measured in simulated cycles rather than detailed-only cycles.
-        let now = self.virtual_now();
-        #[cfg(feature = "check")]
-        if let Some(checker) = &mut self.checker {
-            checker.check_thermal(&self.thermal, &self.watts, dt, settled, now);
-        }
-        if consult_manager {
-            #[cfg(feature = "check")]
-            if let Some(checker) = &mut self.checker {
-                checker.before_sample(&self.core, &self.manager);
-            }
-            self.manager.on_sample(
-                &mut self.core,
-                self.thermal.temperatures(),
-                now,
-                &activity.int_iq,
-                &activity.fp_iq,
-            );
-            #[cfg(feature = "check")]
-            if let Some(checker) = &mut self.checker {
-                checker.after_sample(
-                    &self.core,
-                    &self.manager,
-                    self.thermal.temperatures(),
-                    now,
-                    &activity.int_iq,
-                    &activity.fp_iq,
-                );
-            }
-        }
-        self.sample_stats(was_frozen, now);
-    }
-
-    /// Harvests the window's activity counters, or `None` for an empty
-    /// window (no cycles ran — the trace drained at the window boundary).
-    /// Also latches the issue-queue activity the interval engine replays
-    /// into skipped-interval consults: a pair of Copy structs, so the
-    /// Exact path pays two register-width stores and reads nothing back.
-    pub(crate) fn window_activity(&mut self) -> Option<ActivitySample> {
-        let activity = self.core.take_activity();
-        if activity.cycles == 0 {
-            return None;
-        }
-        self.fast.window_int_iq = activity.int_iq;
-        self.fast.window_fp_iq = activity.fp_iq;
-        Some(activity)
-    }
-
-    /// The thermal decision for a window whose power is already in
-    /// `self.watts`: returns `(dt, settled)` where `settled` means this
-    /// window performs the one-time warm-start settle (latched here)
-    /// instead of a backward-Euler step.
-    pub(crate) fn sample_prepare(&mut self, activity: &ActivitySample) -> (f64, bool) {
-        let dt = activity.cycles as f64 / self.config.frequency_hz;
-        let settled = self.config.warm_start && !self.warmed;
-        if settled {
-            self.warmed = true;
-        }
-        (dt, settled)
-    }
-
-    /// Accumulates the per-window temperature statistics and the optional
-    /// history row. `was_frozen` must be the freeze state *before* the
-    /// window's consult; `now` the virtual cycle stamp.
-    pub(crate) fn sample_stats(&mut self, was_frozen: bool, now: u64) {
-        // The paper's table temperatures average over execution (non
-        // -stalled) time; track the peak unconditionally.
-        if !was_frozen {
-            for (sum, t) in self.temp_sum.iter_mut().zip(self.thermal.temperatures()) {
-                *sum += t;
-            }
-            self.temp_samples += 1;
-        }
-        for (max, t) in self.temp_max.iter_mut().zip(self.thermal.temperatures()) {
-            *max = max.max(*t);
-        }
-        if let Some(history) = &mut self.history {
-            history.push((now, self.thermal.temperatures().to_vec()));
-        }
-    }
-
-    /// Virtual time: core cycles plus analytically skipped cycles. Under
-    /// Exact the offset is always zero.
-    pub(crate) fn virtual_now(&self) -> u64 {
-        self.core.stats().cycles + self.fast.extra_cycles
-    }
-
-    /// Mutable core access for the batched engine's external actuation.
-    pub(crate) fn core_mut(&mut self) -> &mut Core {
-        &mut self.core
-    }
-
-    /// The per-block power scratch as a power-accumulation target.
-    pub(crate) fn watts_mut(&mut self) -> &mut [f64] {
-        &mut self.watts
-    }
-
-    /// This simulator as one lane of a batched thermal solve: its model
-    /// plus the power vector the current window accumulated.
-    pub(crate) fn thermal_lane(&mut self) -> (&mut ThermalModel, &[f64]) {
-        (&mut self.thermal, &self.watts)
-    }
-
-    /// The held issue-queue activity of the last detailed window — what
-    /// skipped-interval consults replay.
-    pub(crate) fn window_iqs(&self) -> (IqActivity, IqActivity) {
-        (self.fast.window_int_iq, self.fast.window_fp_iq)
-    }
-
-    /// Whether the interval engine is still inside its detailed warmup
-    /// prefix.
-    pub(crate) fn fast_in_prefix(&self) -> bool {
-        self.fast.prefix_left > 0
-    }
-
-    /// Sub-intervals completed in the current macro window.
-    pub(crate) fn fast_window_pos(&self) -> u64 {
-        self.fast.window_pos
+        kernel::drive(&mut Scalar { sim: self, trace }, cycles, control, false)
     }
 
     /// Captures the simulator's dynamic state for [`crate::Snapshot`].
@@ -744,33 +290,7 @@ impl Simulator {
     /// [`record_history`]: Simulator::record_history
     #[must_use]
     pub fn state(&self) -> SimulatorState {
-        SimulatorState {
-            core: self.core.snapshot(),
-            manager: self.manager.snapshot(),
-            thermal_node_bits: encode_bits(self.thermal.node_temperatures()),
-            temp_sum_bits: encode_bits(&self.temp_sum),
-            temp_max_bits: encode_bits(&self.temp_max),
-            temp_samples: self.temp_samples,
-            warmed: self.warmed,
-            fast: crate::snapshot::FastEngineState {
-                prefix_left: self.fast.prefix_left,
-                window_pos: self.fast.window_pos,
-                window_watts_bits: encode_bits(&self.fast.window_watts),
-                window_int_iq: self.fast.window_int_iq,
-                window_fp_iq: self.fast.window_fp_iq,
-                sample_cycles: self.fast.sample_cycles,
-                sample_committed: self.fast.sample_committed,
-                sample_fetched: self.fast.sample_fetched,
-                sample_frozen: self.fast.sample_frozen,
-                sample_throttled: self.fast.sample_throttled,
-                sample_fetch_gated: self.fast.sample_fetch_gated,
-                extra_cycles: self.fast.extra_cycles,
-                extra_committed: self.fast.extra_committed,
-                extra_frozen: self.fast.extra_frozen,
-                extra_throttled: self.fast.extra_throttled,
-                extra_fetch_gated: self.fast.extra_fetch_gated,
-            },
-        }
+        self.die.scalar_state(&self.clock)
     }
 
     /// Restores dynamic state captured by [`state`](Simulator::state).
@@ -780,59 +300,15 @@ impl Simulator {
     /// tables, frequency, and sampling cadence; the mitigation technique
     /// may differ). [`crate::Snapshot::resume_with_config`] enforces that
     /// contract; calling this directly performs only the shape checks the
-    /// sub-restores provide.
+    /// sub-restores provide. The restore is all or nothing: a rejected
+    /// state leaves the simulator untouched.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] naming the first subsystem whose state
     /// does not fit this simulator.
     pub fn restore_state(&mut self, state: &SimulatorState) -> Result<(), Error> {
-        let blocks = self.plan.blocks().len();
-        if state.temp_sum_bits.len() != blocks || state.temp_max_bits.len() != blocks {
-            return Err(Error::Config(format!(
-                "temperature statistics cover {} blocks, floorplan has {blocks}",
-                state.temp_sum_bits.len()
-            )));
-        }
-        self.core.restore(&state.core).map_err(|e| Error::Config(format!("core: {e}")))?;
-        self.thermal
-            .restore_node_temperatures(&decode_bits(&state.thermal_node_bits))
-            .map_err(|e| Error::Config(format!("thermal: {e}")))?;
-        if state.fast.window_watts_bits.len() != blocks {
-            return Err(Error::Config(format!(
-                "fast-engine power vector covers {} blocks, floorplan has {blocks}",
-                state.fast.window_watts_bits.len()
-            )));
-        }
-        self.manager.restore(&state.manager);
-        self.temp_sum = decode_bits(&state.temp_sum_bits);
-        self.temp_max = decode_bits(&state.temp_max_bits);
-        self.temp_samples = state.temp_samples;
-        self.warmed = state.warmed;
-        self.fast.prefix_left = state.fast.prefix_left;
-        self.fast.window_pos = state.fast.window_pos;
-        self.fast.window_watts = decode_bits(&state.fast.window_watts_bits);
-        self.fast.window_int_iq = state.fast.window_int_iq;
-        self.fast.window_fp_iq = state.fast.window_fp_iq;
-        self.fast.sample_cycles = state.fast.sample_cycles;
-        self.fast.sample_committed = state.fast.sample_committed;
-        self.fast.sample_fetched = state.fast.sample_fetched;
-        self.fast.sample_frozen = state.fast.sample_frozen;
-        self.fast.sample_throttled = state.fast.sample_throttled;
-        self.fast.sample_fetch_gated = state.fast.sample_fetch_gated;
-        self.fast.extra_cycles = state.fast.extra_cycles;
-        self.fast.extra_committed = state.fast.extra_committed;
-        self.fast.extra_frozen = state.fast.extra_frozen;
-        self.fast.extra_throttled = state.fast.extra_throttled;
-        self.fast.extra_fetch_gated = state.fast.extra_fetch_gated;
-        // A restored simulator is a different execution: re-arm checking
-        // against the restored state so the oracle does not cross-check
-        // the new run against pre-restore history.
-        #[cfg(feature = "check")]
-        if self.checker.is_some() {
-            self.enable_checking()?;
-        }
-        Ok(())
+        self.die.restore_scalar(&self.config, state, &mut self.clock)
     }
 
     /// Arms the differential oracle and runtime invariant checkers
@@ -854,16 +330,7 @@ impl Simulator {
     /// the mitigation mirror needs.
     #[cfg(feature = "check")]
     pub fn enable_checking(&mut self) -> Result<(), Error> {
-        self.core.enable_op_log();
-        let checker = powerbalance_check::RuntimeChecker::new(
-            &self.plan,
-            &self.config.mitigation,
-            &self.core,
-            &self.thermal,
-        )
-        .map_err(Error::Config)?;
-        self.checker = Some(Box::new(checker));
-        Ok(())
+        self.die.enable_checking(&self.config)
     }
 
     /// Closes out the oracle (end-of-run retirement accounting, final
@@ -871,13 +338,7 @@ impl Simulator {
     /// violations. Returns an empty list when checking was never enabled.
     #[cfg(feature = "check")]
     pub fn finish_checking(&mut self) -> Vec<powerbalance_check::Violation> {
-        match &mut self.checker {
-            Some(checker) => {
-                checker.finish(&self.core);
-                checker.violations().to_vec()
-            }
-            None => Vec::new(),
-        }
+        self.die.finish_checking()
     }
 
     /// The armed runtime checker, if [`enable_checking`] was called.
@@ -886,72 +347,20 @@ impl Simulator {
     #[cfg(feature = "check")]
     #[must_use]
     pub fn checker(&self) -> Option<&powerbalance_check::RuntimeChecker> {
-        self.checker.as_deref()
+        self.die.lanes[0].checker.as_deref()
     }
 
     /// Snapshot of the accumulated results.
     #[must_use]
     pub fn result(&self) -> RunResult {
-        self.result_with_stats(self.manager.stats())
-    }
-
-    /// Like [`result`](Self::result) but reporting `mstats` instead of the
-    /// internal manager's counters — the batched engine holds each
-    /// sibling's mitigation statistics outside the shared class simulator.
-    pub(crate) fn result_with_stats(&self, mstats: &MitigationStats) -> RunResult {
-        let stats = self.core.stats();
-        let samples = self.temp_samples.max(1) as f64;
-        let temperatures = self
-            .plan
-            .blocks()
-            .iter()
-            .enumerate()
-            .map(|(i, b)| BlockTemperature {
-                name: b.name.clone(),
-                avg: if self.temp_samples == 0 {
-                    self.thermal.temperature(i)
-                } else {
-                    self.temp_sum[i] / samples
-                },
-                max: if self.temp_max[i] == f64::MIN {
-                    self.thermal.temperature(i)
-                } else {
-                    self.temp_max[i]
-                },
-                last: self.thermal.temperature(i),
-            })
-            .collect();
-        // Fold the interval engine's extrapolated cycles back into the
-        // headline counters. Under Exact fidelity every `extra_*` is zero
-        // and the arithmetic below reduces bit-for-bit to the core's own
-        // counters (the IPC expression mirrors `CoreStats::ipc`).
-        let cycles = stats.cycles + self.fast.extra_cycles;
-        let committed = stats.committed + self.fast.extra_committed;
-        RunResult {
-            cycles,
-            committed,
-            ipc: if cycles == 0 { 0.0 } else { committed as f64 / cycles as f64 },
-            frozen_cycles: stats.frozen_cycles + self.fast.extra_frozen,
-            toggles: mstats.toggles,
-            alu_turnoffs: mstats.alu_turnoffs,
-            rf_turnoffs: mstats.rf_turnoffs,
-            freezes: mstats.freezes,
-            opp_transitions: mstats.opp_transitions,
-            duty_shifts: mstats.duty_shifts,
-            throttled_cycles: stats.throttled_cycles + self.fast.extra_throttled,
-            fetch_gated_cycles: stats.fetch_gated_cycles + self.fast.extra_fetch_gated,
-            temperatures,
-            int_issued_per_unit: stats.int_issued_per_unit,
-            int_rf_reads: stats.int_rf_reads,
-            mispredict_rate: self.core.bpred().mispredict_rate(),
-            l1d_miss_rate: self.core.memory().l1d().miss_rate(),
-        }
+        self.die.result(0, self.manager().stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Fidelity;
     use crate::experiments;
     use powerbalance_workloads::spec2000;
 
@@ -1201,5 +610,25 @@ mod tests {
             "warm start should reach operating temperature: {:?}",
             r.hottest()
         );
+    }
+
+    #[test]
+    fn rejected_restore_leaves_the_simulator_untouched() {
+        let cfg = SimConfig {
+            fidelity: Fidelity::Fast,
+            fast_window: 40_000,
+            fast_warmup: 20_000,
+            ..SimConfig::default()
+        };
+        let mut source = Simulator::new(cfg.clone()).expect("valid config");
+        source.run(&mut spec2000::by_name("gzip").expect("profile").trace(3), 80_000);
+        let mut bad = source.state();
+        bad.fast.window_watts_bits.pop();
+
+        let mut sim = Simulator::new(cfg).expect("valid config");
+        sim.run(&mut spec2000::by_name("mesa").expect("profile").trace(11), 30_000);
+        let before = sim.state();
+        assert!(sim.restore_state(&bad).is_err(), "short power vector is rejected");
+        assert_eq!(sim.state(), before, "a rejected restore changes nothing");
     }
 }

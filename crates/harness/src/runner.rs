@@ -108,10 +108,11 @@ pub fn run_one(
     cycles: u64,
     seed: u64,
 ) -> Result<RunResult, Error> {
-    let profile = spec2000::by_name(bench)
-        .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
     let mut sim = Simulator::new(config.clone())?;
-    Ok(sim.run(&mut profile.trace(seed), cycles))
+    Ok(sim.run(
+        &mut spec2000::by_name(bench).ok_or_else(|| unknown_bench(bench))?.trace(seed),
+        cycles,
+    ))
 }
 
 /// Like [`run_one`], but preceded by `warmup_cycles` of mitigation-free
@@ -189,42 +190,14 @@ pub fn run_one_warmed_controlled(
             control,
         );
     }
-    if warmup_cycles == 0 {
-        let profile = spec2000::by_name(bench)
-            .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-        let mut sim = Simulator::new(config.clone())?;
-        return Ok(sim.run_controlled(&mut profile.trace(seed), cycles, control));
-    }
-    match cache {
-        Some(cache) => {
-            let snapshot = match cache.get_or_compute_controlled(
-                bench,
-                seed,
-                warmup_cycles,
-                config,
-                control,
-            )? {
-                WarmupOutcome::Ready(snapshot) => snapshot,
-                WarmupOutcome::Stopped(cause) => {
-                    let sim = Simulator::new(config.clone())?;
-                    return Ok((sim.result(), cause));
-                }
-            };
-            let (mut sim, mut trace) = snapshot.resume_with_config(config.clone())?;
-            Ok(sim.run_controlled(&mut trace, cycles, control))
-        }
-        None => {
-            let profile = spec2000::by_name(bench)
-                .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-            let mut sim = Simulator::new(config.clone())?;
-            let mut trace = profile.trace(seed);
-            let warmup_cause = sim.run_warmup_controlled(&mut trace, warmup_cycles, control);
-            if !warmup_cause.is_completed() {
-                return Ok((sim.result(), warmup_cause));
-            }
-            Ok(sim.run_controlled(&mut trace, cycles, control))
-        }
-    }
+    let warmed = Warmed { config, bench, seed, warmup_cycles, cache, control };
+    warmed.run(cycles, |warm| match warm {
+        Some(snapshot) => snapshot.resume_with_config(config.clone()),
+        None => Ok((
+            Simulator::new(config.clone())?,
+            spec2000::by_name(bench).ok_or_else(|| unknown_bench(bench))?.trace(seed),
+        )),
+    })
 }
 
 /// The multi-core arm of [`run_one_warmed_controlled`]: N cores on one
@@ -239,8 +212,7 @@ fn run_multicore_warmed_controlled(
     warmup_cycles: u64,
     control: &RunControl<'_>,
 ) -> Result<(RunResult, StopCause), Error> {
-    let profile = spec2000::by_name(bench)
-        .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
+    let profile = spec2000::by_name(bench).ok_or_else(|| unknown_bench(bench))?;
     let mut sim = MultiCoreSimulator::new(config.clone())?;
     let mut tasks = TaskSet::new(
         (0..config.cores)
@@ -262,13 +234,13 @@ fn run_multicore_warmed_controlled(
 ///
 /// All `configs` must share a [`powerbalance::batch_key`] (same benchmark
 /// trace, core, floorplan, package, energy tables, cadence, fidelity —
-/// only `mitigation` may differ). Warm-start handling mirrors the scalar
-/// path exactly: with a cache, one shared snapshot (interruptibly
-/// computed) is restored into the unforked batch; without one, the batch
-/// runs the mitigation-free warmup inline. Under Exact fidelity the
-/// siblings share generated micro-ops through a [`TraceCursor`] ring;
-/// under Fast each equivalence class keeps a private generator clone so
-/// skipped intervals stay O(1).
+/// only `mitigation` may differ). Warm-start handling is the scalar
+/// path's: with a cache, one shared snapshot (interruptibly computed) is
+/// restored into the unforked batch; without one, the batch runs the
+/// mitigation-free warmup inline. Under Exact fidelity the siblings share
+/// generated micro-ops through a [`TraceCursor`] ring; under Fast each
+/// equivalence class keeps a private generator clone so skipped intervals
+/// stay O(1).
 ///
 /// Results come back in `configs` order. A stop (cancel/timeout) stops
 /// the whole batch at the same window boundary, so every sibling's
@@ -287,80 +259,132 @@ pub fn run_batch_warmed_controlled(
     cache: Option<&WarmStartCache>,
     control: &RunControl<'_>,
 ) -> Result<(Vec<RunResult>, StopCause), Error> {
-    let profile = spec2000::by_name(bench)
-        .ok_or_else(|| Error::Config(format!("unknown benchmark '{bench}'")))?;
-    let Some(first) = configs.first() else {
+    let Some(config) = configs.first() else {
         return Err(Error::Config("a batch needs at least one sibling configuration".into()));
     };
-    let warm = match cache {
-        Some(cache) if warmup_cycles > 0 => {
-            match cache.get_or_compute_controlled(bench, seed, warmup_cycles, first, control)? {
-                WarmupOutcome::Ready(snapshot) => Some(snapshot),
-                WarmupOutcome::Stopped(cause) => {
-                    // Nothing ran; report every sibling's empty result.
-                    let batch = BatchSimulator::new(configs.to_vec(), profile.trace(seed))?;
-                    return Ok((batch.results(), cause));
-                }
-            }
-        }
-        _ => None,
+    let warmed = Warmed { config, bench, seed, warmup_cycles, cache, control };
+    // `resume_with_config` validates structural compatibility and rebuilds
+    // the trace at its post-warmup position; the scalar simulator it also
+    // builds is a throwaway, negligible next to K measured runs.
+    let trace = |warm: Option<&Snapshot>| match warm {
+        Some(snapshot) => snapshot.resume_with_config(config.clone()).map(|(_, trace)| trace),
+        None => spec2000::by_name(bench).map(|p| p.trace(seed)).ok_or_else(|| unknown_bench(bench)),
     };
-    match warm {
-        Some(snapshot) => {
-            // `resume_with_config` validates structural compatibility and
-            // rebuilds the trace at its post-warmup position; the throwaway
-            // scalar simulator it also builds is negligible next to K
-            // measured runs.
-            let (_, trace) = snapshot.resume_with_config(first.clone())?;
-            match first.fidelity {
-                Fidelity::Exact => batch_over(
-                    configs,
-                    TraceCursor::new(trace),
-                    Some(&snapshot),
-                    0,
-                    cycles,
-                    control,
-                ),
-                Fidelity::Fast => batch_over(configs, trace, Some(&snapshot), 0, cycles, control),
-            }
+    match config.fidelity {
+        Fidelity::Exact => {
+            warmed.run(cycles, |warm| batch(configs, TraceCursor::new(trace(warm)?), warm))
         }
-        None => {
-            let trace = profile.trace(seed);
-            match first.fidelity {
-                Fidelity::Exact => batch_over(
-                    configs,
-                    TraceCursor::new(trace),
-                    None,
-                    warmup_cycles,
-                    cycles,
-                    control,
-                ),
-                Fidelity::Fast => batch_over(configs, trace, None, warmup_cycles, cycles, control),
-            }
-        }
+        Fidelity::Fast => warmed.run(cycles, |warm| batch(configs, trace(warm)?, warm)),
     }
 }
 
-/// Monomorphized batch body: build, optionally warm (restore or inline
-/// warmup), then run under `control`.
-fn batch_over<T: TraceSource + Clone>(
+/// Builds a lockstep batch over `configs` consuming `trace`, restored
+/// from the shared warmup snapshot when there is one.
+fn batch<T: TraceSource + Clone>(
     configs: &[SimConfig],
     trace: T,
     warm: Option<&Snapshot>,
-    warmup_cycles: u64,
-    cycles: u64,
-    control: &RunControl<'_>,
-) -> Result<(Vec<RunResult>, StopCause), Error> {
+) -> Result<BatchSimulator<T>, Error> {
     let mut batch = BatchSimulator::new(configs.to_vec(), trace)?;
     if let Some(snapshot) = warm {
         batch.restore_state(&snapshot.state)?;
-    } else if warmup_cycles > 0 {
-        let cause = batch.run_warmup_controlled(warmup_cycles, control);
-        if !cause.is_completed() {
-            return Ok((batch.results(), cause));
-        }
     }
-    Ok(batch.run_controlled(cycles, control))
+    Ok(batch)
+}
+
+fn unknown_bench(bench: &str) -> Error {
+    Error::Config(format!("unknown benchmark '{bench}'"))
+}
+
+/// A scalar simulator with its trace, or a lockstep batch: what
+/// [`Warmed::run`] drives.
+trait Job {
+    type Results;
+    fn warmup(&mut self, cycles: u64, control: &RunControl<'_>) -> StopCause;
+    fn run(&mut self, cycles: u64, control: &RunControl<'_>) -> (Self::Results, StopCause);
+    fn results(&self) -> Self::Results;
+}
+
+impl<T: TraceSource> Job for (Simulator, T) {
+    type Results = RunResult;
+
+    fn warmup(&mut self, cycles: u64, control: &RunControl<'_>) -> StopCause {
+        self.0.run_warmup_controlled(&mut self.1, cycles, control)
+    }
+
+    fn run(&mut self, cycles: u64, control: &RunControl<'_>) -> (RunResult, StopCause) {
+        self.0.run_controlled(&mut self.1, cycles, control)
+    }
+
+    fn results(&self) -> RunResult {
+        self.0.result()
+    }
+}
+
+impl<T: TraceSource + Clone> Job for BatchSimulator<T> {
+    type Results = Vec<RunResult>;
+
+    fn warmup(&mut self, cycles: u64, control: &RunControl<'_>) -> StopCause {
+        self.run_warmup_controlled(cycles, control)
+    }
+
+    fn run(&mut self, cycles: u64, control: &RunControl<'_>) -> (Vec<RunResult>, StopCause) {
+        self.run_controlled(cycles, control)
+    }
+
+    fn results(&self) -> Vec<RunResult> {
+        BatchSimulator::results(self)
+    }
+}
+
+/// The warm-start steps every single-core job shares, keyed by `config`
+/// (for a batch, its first sibling: warmup never consults the manager,
+/// so all siblings share one warmup).
+struct Warmed<'a> {
+    config: &'a SimConfig,
+    bench: &'a str,
+    seed: u64,
+    warmup_cycles: u64,
+    cache: Option<&'a WarmStartCache>,
+    control: &'a RunControl<'a>,
+}
+
+impl Warmed<'_> {
+    /// Warms the job `build` makes — from the shared warmup snapshot, or
+    /// from the workload's first op when given `None` — then runs it for
+    /// `cycles`. With a cache the shared snapshot is fetched (or
+    /// computed) and the job resumes from it; a stop while waiting on the
+    /// shared warmup returns the job's empty results. Without a cache the
+    /// warmup runs inline.
+    fn run<J: Job>(
+        &self,
+        cycles: u64,
+        build: impl FnOnce(Option<&Snapshot>) -> Result<J, Error>,
+    ) -> Result<(J::Results, StopCause), Error> {
+        let control = self.control;
+        let Some(cache) = self.cache.filter(|_| self.warmup_cycles > 0) else {
+            let mut job = build(None)?;
+            if self.warmup_cycles > 0 {
+                let cause = job.warmup(self.warmup_cycles, control);
+                if !cause.is_completed() {
+                    return Ok((job.results(), cause));
+                }
+            }
+            return Ok(job.run(cycles, control));
+        };
+        let snapshot = match cache.get_or_compute_controlled(
+            self.bench,
+            self.seed,
+            self.warmup_cycles,
+            self.config,
+            control,
+        )? {
+            WarmupOutcome::Ready(snapshot) => snapshot,
+            // Nothing ran; report the job's empty results.
+            WarmupOutcome::Stopped(cause) => return Ok((build(None)?.results(), cause)),
+        };
+        Ok(build(Some(&snapshot))?.run(cycles, control))
+    }
 }
 
 /// Summary of one finished job, exposed as live progress while a

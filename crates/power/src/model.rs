@@ -222,33 +222,6 @@ impl PowerModel {
         }
     }
 
-    /// Batched power accounting: converts one activity window per lane
-    /// into that lane's per-block watts, writing `outs[lane]`.
-    ///
-    /// The batched campaign engine collects every lockstep sibling's
-    /// window activity and its dynamic-power scale, then accounts the
-    /// whole batch in one call. Each lane runs the scalar conversion —
-    /// [`block_power_into`](Self::block_power_into) at scale 1.0, the
-    /// scaled variant otherwise — so lane `i` of the output is
-    /// bit-identical to the corresponding scalar call; the batching wins
-    /// locality (one pass over the energy tables per window) without
-    /// touching the purity contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` and `outs` differ in length or any output slice
-    /// is not one entry per block.
-    pub fn block_power_many_into(&self, lanes: &[(ActivitySample, f64)], outs: &mut [&mut [f64]]) {
-        assert_eq!(lanes.len(), outs.len(), "one output slice per lane");
-        for ((sample, scale), out) in lanes.iter().zip(outs.iter_mut()) {
-            if *scale == 1.0 {
-                self.block_power_into(sample, out);
-            } else {
-                self.block_power_scaled_into(sample, *scale, out);
-            }
-        }
-    }
-
     /// Accumulates the window's dynamic energy per block into `energy`
     /// (which the caller has zeroed). Shared verbatim by the scaled and
     /// unscaled power conversions so their accumulation order is identical.

@@ -375,52 +375,74 @@ impl BatchThermalSolver {
         BatchThermalSolver::default()
     }
 
-    /// Checks the lanes share one network shape and returns
-    /// `(node_count, k)`. Full matrix equality is a debug assertion: the
-    /// caller's eligibility rules (same floorplan + package) guarantee it,
-    /// and the O(n²k) compare is too hot for release windows.
-    fn check_lanes(lanes: &[(&mut ThermalModel, &[f64])]) -> (usize, usize) {
-        let k = lanes.len();
-        let n = lanes[0].0.network.node_count();
-        for (model, watts) in lanes.iter() {
+    /// Checks the included lanes share one network shape and returns
+    /// `(node_count, k)`, `k` being the number of included lanes. Full
+    /// matrix equality is a debug assertion: the caller's eligibility
+    /// rules (same floorplan + package) guarantee it, and the O(n²k)
+    /// compare is too hot for release windows.
+    fn check_lanes<L: SolveLane>(lanes: &mut [L]) -> (usize, usize) {
+        let Some(first) = lanes.iter_mut().position(|l| l.lane().is_some()) else {
+            return (0, 0);
+        };
+        let (head, tail) = lanes.split_at_mut(first + 1);
+        let (model0, watts0) = head[first].lane().expect("included lane");
+        let n = model0.network.node_count();
+        assert_eq!(watts0.len(), model0.block_count, "one power entry per block");
+        let mut k = 1;
+        for (model, watts) in tail.iter_mut().filter_map(SolveLane::lane) {
             assert_eq!(model.network.node_count(), n, "lanes must share the network shape");
             assert_eq!(watts.len(), model.block_count, "one power entry per block");
             debug_assert_eq!(
                 model.network.conductance(),
-                lanes[0].0.network.conductance(),
+                model0.network.conductance(),
                 "lanes must share one conductance matrix"
             );
             debug_assert_eq!(
                 model.network.capacitance(),
-                lanes[0].0.network.capacitance(),
+                model0.network.capacitance(),
                 "lanes must share one capacitance vector"
             );
+            k += 1;
         }
         (n, k)
     }
 
-    /// Advances every `(model, watts)` lane by `dt` seconds, exactly as
-    /// `model.step(watts, dt)` would, sharing lane 0's factorization.
+    /// The first included lane's model, whose cached factors every lane
+    /// shares.
+    fn lead<L: SolveLane>(lanes: &mut [L]) -> &mut ThermalModel {
+        lanes.iter_mut().find_map(|l| l.lane()).expect("an included lane").0
+    }
+
+    /// Scatters the lane-major solutions back into each included model.
+    fn scatter<L: SolveLane>(&self, lanes: &mut [L], n: usize, k: usize) {
+        for (lane, (model, _)) in lanes.iter_mut().filter_map(SolveLane::lane).enumerate() {
+            for i in 0..n {
+                model.temps[i] = self.x[i * k + lane];
+            }
+        }
+    }
+
+    /// Advances every included lane by `dt` seconds, exactly as
+    /// `model.step(watts, dt)` would, sharing the first lane's
+    /// factorization.
     ///
     /// # Panics
     ///
     /// Panics if `dt <= 0`, a power vector is the wrong length, or the
     /// lanes disagree on the network shape.
-    pub fn step_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])], dt: f64) {
+    pub fn step_many<L: SolveLane>(&mut self, lanes: &mut [L], dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
-        if lanes.is_empty() {
-            return;
-        }
-        if lanes.len() == 1 {
-            // One lane is the scalar path; keep its own cache warm.
-            let (model, watts) = &mut lanes[0];
-            model.step(watts, dt);
-            return;
-        }
         let (n, k) = Self::check_lanes(lanes);
+        if k <= 1 {
+            // One lane is the scalar path; keep its own cache warm.
+            if let Some((model, watts)) = lanes.iter_mut().find_map(|l| l.lane()) {
+                model.step(watts, dt);
+            }
+            return;
+        }
         self.rhs.resize(n * k, 0.0);
         self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter().enumerate() {
+        for (lane, (model, watts)) in lanes.iter_mut().filter_map(SolveLane::lane).enumerate() {
             let c = model.network.capacitance();
             let ambient_power = model.network.ambient_power();
             for i in 0..n {
@@ -430,37 +452,29 @@ impl BatchThermalSolver {
                 self.rhs[i * k + lane] += w;
             }
         }
-        {
-            let lu = lanes[0].0.ensure_step_lu(dt);
-            lu.solve_many_into(&self.rhs, &mut self.x, k);
-        }
-        for (lane, (model, _)) in lanes.iter_mut().enumerate() {
-            for i in 0..n {
-                model.temps[i] = self.x[i * k + lane];
-            }
-        }
+        Self::lead(lanes).ensure_step_lu(dt).solve_many_into(&self.rhs, &mut self.x, k);
+        self.scatter(lanes, n, k);
     }
 
-    /// Jumps every `(model, watts)` lane to its steady state, exactly as
-    /// `model.settle(watts)` would, sharing lane 0's bare-`G` factors.
+    /// Jumps every included lane to its steady state, exactly as
+    /// `model.settle(watts)` would, sharing the first lane's bare-`G`
+    /// factors.
     ///
     /// # Panics
     ///
     /// Panics if a power vector is the wrong length or the lanes disagree
     /// on the network shape.
-    pub fn settle_many(&mut self, lanes: &mut [(&mut ThermalModel, &[f64])]) {
-        if lanes.is_empty() {
-            return;
-        }
-        if lanes.len() == 1 {
-            let (model, watts) = &mut lanes[0];
-            model.settle(watts);
-            return;
-        }
+    pub fn settle_many<L: SolveLane>(&mut self, lanes: &mut [L]) {
         let (n, k) = Self::check_lanes(lanes);
+        if k <= 1 {
+            if let Some((model, watts)) = lanes.iter_mut().find_map(|l| l.lane()) {
+                model.settle(watts);
+            }
+            return;
+        }
         self.rhs.resize(n * k, 0.0);
         self.x.resize(n * k, 0.0);
-        for (lane, (model, watts)) in lanes.iter().enumerate() {
+        for (lane, (model, watts)) in lanes.iter_mut().filter_map(SolveLane::lane).enumerate() {
             for (i, p) in model.network.ambient_power().iter().enumerate() {
                 self.rhs[i * k + lane] = *p;
             }
@@ -468,16 +482,25 @@ impl BatchThermalSolver {
                 self.rhs[i * k + lane] += w;
             }
         }
-        {
-            lanes[0].0.ensure_steady_lu();
-            let lu = lanes[0].0.steady_lu.as_ref().expect("factored above");
-            lu.solve_many_into(&self.rhs, &mut self.x, k);
-        }
-        for (lane, (model, _)) in lanes.iter_mut().enumerate() {
-            for i in 0..n {
-                model.temps[i] = self.x[i * k + lane];
-            }
-        }
+        let lead = Self::lead(lanes);
+        lead.ensure_steady_lu();
+        let lu = lead.steady_lu.as_ref().expect("factored above");
+        lu.solve_many_into(&self.rhs, &mut self.x, k);
+        self.scatter(lanes, n, k);
+    }
+}
+
+/// One right-hand side of a [`BatchThermalSolver`] solve: a model and the
+/// per-block power it dissipates. The lane may opt out of a solve, which
+/// lets a caller solve a subset of its lanes without collecting them.
+pub trait SolveLane {
+    /// The lane's model and power, or `None` to leave it out.
+    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])>;
+}
+
+impl SolveLane for (&mut ThermalModel, &[f64]) {
+    fn lane(&mut self) -> Option<(&mut ThermalModel, &[f64])> {
+        Some((&mut *self.0, self.1))
     }
 }
 

@@ -9,10 +9,19 @@
 //! `ThermalManager::on_sample`) must perform exactly zero heap
 //! allocations.
 //!
+//! The same test then drives the three public engines — the scalar
+//! [`Simulator`], a 2-core [`MultiCoreSimulator`] and a 2-sibling
+//! [`BatchSimulator`] — and requires a 4-window and a 16-window `run` of a
+//! fresh engine to allocate alike: the only heap traffic left is the
+//! result construction, not anything per window.
+//!
 //! This file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
 //! pollute the measured window.
 
+use powerbalance::{
+    spec2000, BatchSimulator, MultiCoreSimulator, SimConfig, Simulator, TaskSet, TraceCursor,
+};
 use powerbalance_isa::{ArchReg, BranchInfo, MemRef, MicroOp, OpClass, SliceTrace};
 use powerbalance_mitigation::{MitigationConfig, Sensors, ThermalManager};
 use powerbalance_power::{EnergyTables, PowerModel};
@@ -47,6 +56,43 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Heap allocations `f` performs.
+fn counted(f: impl FnOnce()) -> u64 {
+    let before = allocations();
+    f();
+    allocations() - before
+}
+
+/// Allocations of one `run` over `windows` sampling windows on a scalar,
+/// 2-core and 2-sibling batch engine, each first warmed (uncounted) for
+/// `WARMUP_WINDOWS` so its growable buffers reach steady capacity.
+fn engine_run_allocations(windows: u64) -> [u64; 3] {
+    const WARMUP_WINDOWS: u64 = 16;
+    let interval = SimConfig::default().sample_interval;
+    let (warmup, cycles) = (WARMUP_WINDOWS * interval, windows * interval);
+    let trace = |name: &str, seed| spec2000::by_name(name).expect("profile").trace(seed);
+
+    let mut sim = Simulator::new(SimConfig::default()).expect("valid config");
+    let mut gzip = trace("gzip", 3);
+    sim.run(&mut gzip, warmup);
+    let scalar = counted(|| drop(sim.run(&mut gzip, cycles)));
+
+    let two_core = SimConfig { cores: 2, ..SimConfig::default() };
+    let mut die = MultiCoreSimulator::new(two_core).expect("valid config");
+    let mut tasks = TaskSet::one_per_job([trace("gzip", 3), trace("mesa", 11)]);
+    die.run(&mut tasks, warmup);
+    let multi = counted(|| drop(die.run(&mut tasks, cycles)));
+
+    let siblings = vec![SimConfig::default(); 2];
+    let mut batch =
+        BatchSimulator::new(siblings, TraceCursor::new(trace("gzip", 3))).expect("eligible");
+    batch.run(warmup);
+    let batched = counted(|| drop(batch.run(cycles)));
+    assert_eq!(batch.class_count(), 1, "baseline siblings share one class");
+
+    [scalar, multi, batched]
 }
 
 /// A mixed trace exercising the integer issue path, the FP adders and
@@ -135,5 +181,13 @@ fn steady_state_loop_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "steady-state Core::cycle + sample loop performed {allocated} heap allocations"
+    );
+
+    // The public engines: per-window work allocates nothing, so a run four
+    // times longer allocates exactly as often.
+    assert_eq!(
+        engine_run_allocations(4),
+        engine_run_allocations(16),
+        "[scalar, multi-core, batch] run allocations grew with the window count"
     );
 }
