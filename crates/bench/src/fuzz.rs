@@ -43,7 +43,7 @@ pub fn derive_case(seed: u64) -> (SimConfig, String, u64) {
             FloorplanKind::RegfileConstrained,
         ],
     );
-    cfg.core.iq_size = *pick(&mut rng, &[8, 16, 32, 64]);
+    cfg.core.iq_size = *pick(&mut rng, &[4, 6, 8, 16, 32, 64]);
     cfg.core.replay_window = *pick(&mut rng, &[1, 2, 3]);
     cfg.core.mapping = *pick(
         &mut rng,

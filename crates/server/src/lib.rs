@@ -23,7 +23,10 @@
 //!
 //! `GET /v1/campaigns/<id>/result?wait=<secs>` long-polls: the handler
 //! parks on the service's terminal condvar instead of making the client
-//! busy-poll `409 Retry-After` loops.
+//! busy-poll `409 Retry-After` loops. A completed result stays available
+//! until it has been delivered and [`service::RETAINED_DELIVERED_RESULTS`]
+//! newer results have been delivered after it; from then on the route
+//! answers `410 Gone`.
 //!
 //! The architecture is three layers, each independently testable:
 //! [`http`] (wire parsing with hard limits and deadlines), [`service`]
@@ -52,7 +55,7 @@ use http::{Limits, RecvError, Request, Response};
 use metrics::Endpoint;
 use powerbalance_fabric::{Acquire, NodeHello, ShardOutcome};
 use powerbalance_harness::CampaignSpec;
-use service::{JobService, JobState, ServiceConfig, SubmitError};
+use service::{JobService, JobState, ServiceConfig, SubmitError, RETAINED_DELIVERED_RESULTS};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -512,7 +515,18 @@ fn result(shared: &Shared, request: &Request, id: u64) -> Response {
     };
     match report.state {
         JobState::Completed => match shared.service.result(id) {
-            Some(result) => Response::json(200, result.to_json()),
+            Some(result) => {
+                let body = result.to_json();
+                shared.service.mark_delivered(id);
+                Response::json(200, body)
+            }
+            None if shared.service.result_released(id) => Response::error(
+                410,
+                &format!(
+                    "campaign result was released after delivery; the server keeps only the \
+                     {RETAINED_DELIVERED_RESULTS} most recently delivered results"
+                ),
+            ),
             // A journal tombstone: the previous incarnation completed the
             // campaign, but results are not journaled. Gone, not pending.
             None => Response::error(

@@ -12,13 +12,20 @@ use powerbalance_harness::{
     JobProgress, RunnerOptions, WarmStartCache,
 };
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How many completed results stay in memory after their first delivery.
+/// Delivering one more turns the oldest delivered record into a tombstone
+/// (state kept, result and spec dropped), so the job table of a
+/// long-running service does not grow with every result it has served.
+/// Results not yet delivered are always kept.
+pub const RETAINED_DELIVERED_RESULTS: usize = 256;
 
 /// Tuning knobs for a [`JobService`].
 #[derive(Debug, Clone)]
@@ -127,6 +134,9 @@ struct JobRecord {
     error: Option<String>,
     result: Option<Arc<CampaignResult>>,
     control: Arc<CampaignControl>,
+    /// The result was served at least once (see
+    /// [`JobService::mark_delivered`]).
+    delivered: bool,
 }
 
 /// Builds the status snapshot for one record (shared by the instant and
@@ -149,6 +159,9 @@ fn report(id: u64, record: &JobRecord) -> StatusReport {
 pub struct JobService {
     config: ServiceConfig,
     jobs: Mutex<HashMap<u64, JobRecord>>,
+    /// Ids of delivered records still holding their result, oldest first;
+    /// locked only while `jobs` is held.
+    delivered: Mutex<VecDeque<u64>>,
     /// Signalled whenever any campaign reaches a terminal state; paired
     /// with the `jobs` mutex for long-poll result delivery.
     terminal: Condvar,
@@ -198,6 +211,7 @@ impl JobService {
         let service = Arc::new(JobService {
             config,
             jobs: Mutex::new(HashMap::new()),
+            delivered: Mutex::new(VecDeque::new()),
             terminal: Condvar::new(),
             next_id: AtomicU64::new(1),
             sender: Mutex::new(Some(sender)),
@@ -249,6 +263,7 @@ impl JobService {
                 error,
                 result: None,
                 control: Arc::new(CampaignControl::new()),
+                delivered: false,
             };
             jobs.insert(id, record);
         }
@@ -264,6 +279,7 @@ impl JobService {
                 error: None,
                 result: None,
                 control: Arc::new(CampaignControl::new()),
+                delivered: false,
             };
             record.control.set_total(record.spec.job_count());
             jobs.insert(id, record);
@@ -430,6 +446,7 @@ impl JobService {
             error: None,
             result: None,
             control: Arc::new(CampaignControl::new()),
+            delivered: false,
         };
         record.control.set_total(record.spec.job_count());
         self.jobs.lock().expect("no holder panics").insert(id, record);
@@ -502,6 +519,38 @@ impl JobService {
     #[must_use]
     pub fn result(&self, id: u64) -> Option<Arc<CampaignResult>> {
         self.jobs.lock().expect("no holder panics").get(&id).and_then(|r| r.result.clone())
+    }
+
+    /// Records that `id`'s result was delivered; the HTTP route calls this
+    /// when it serves the result. Past [`RETAINED_DELIVERED_RESULTS`]
+    /// delivered results, the oldest delivered record becomes a tombstone:
+    /// its state and name stay for [`status`](JobService::status), and
+    /// [`result_released`](JobService::result_released) reports it.
+    pub fn mark_delivered(&self, id: u64) {
+        let mut jobs = self.jobs.lock().expect("no holder panics");
+        let Some(record) = jobs.get_mut(&id) else { return };
+        if record.delivered || record.result.is_none() {
+            return;
+        }
+        record.delivered = true;
+        let mut delivered = self.delivered.lock().expect("no holder panics");
+        delivered.push_back(id);
+        while delivered.len() > RETAINED_DELIVERED_RESULTS {
+            let oldest = delivered.pop_front().expect("longer than the retention bound");
+            if let Some(record) = jobs.get_mut(&oldest) {
+                record.result = None;
+                record.spec = Arc::new(CampaignSpec::new(record.spec.name.clone()));
+            }
+        }
+    }
+
+    /// Whether `id` completed and its result was released after delivery
+    /// (see [`mark_delivered`](JobService::mark_delivered)), as opposed to
+    /// a result lost with a server restart.
+    #[must_use]
+    pub fn result_released(&self, id: u64) -> bool {
+        let jobs = self.jobs.lock().expect("no holder panics");
+        jobs.get(&id).is_some_and(|record| record.delivered && record.result.is_none())
     }
 
     /// Requests cancellation of `id`. Returns the state the campaign was

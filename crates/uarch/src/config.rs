@@ -1,5 +1,6 @@
 //! Core configuration.
 
+use crate::iq::MAX_IQ_SIZE;
 use serde::{Deserialize, Serialize};
 
 /// How integer ALUs are wired to register-file copies (paper Figure 4).
@@ -273,7 +274,8 @@ impl CoreConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant: zero-sized
-    /// structures, an odd issue-queue size (halves must be equal), more
+    /// structures, an odd issue-queue size (halves must be equal) or one
+    /// wider than [`MAX_IQ_SIZE`] (the queue's position bitmasks), more
     /// register-file copies than ALUs, or a cache with non-power-of-two
     /// geometry.
     pub fn validate(&self) -> Result<(), String> {
@@ -283,8 +285,8 @@ impl CoreConfig {
         if self.rob_size == 0 || self.lsq_size == 0 {
             return Err("active list and LSQ must be non-empty".into());
         }
-        if self.iq_size < 4 || !self.iq_size.is_multiple_of(2) {
-            return Err("issue queue size must be an even number >= 4".into());
+        if !(4..=MAX_IQ_SIZE).contains(&self.iq_size) || !self.iq_size.is_multiple_of(2) {
+            return Err(format!("issue queue size must be an even number in 4..={MAX_IQ_SIZE}"));
         }
         if self.int_alus == 0 || self.fp_adders == 0 {
             return Err("need at least one unit of each kind".into());
@@ -351,6 +353,17 @@ mod tests {
 
         let c = CoreConfig { btb_entries: 1000, ..CoreConfig::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_queues_wider_than_the_position_masks() {
+        let widest = CoreConfig { iq_size: MAX_IQ_SIZE, ..CoreConfig::default() };
+        widest.validate().expect("a 64-entry queue fits the masks");
+        for iq_size in [MAX_IQ_SIZE + 2, 128, usize::MAX - 1] {
+            let c = CoreConfig { iq_size, ..CoreConfig::default() };
+            let err = c.validate().expect_err("over-wide queue must be rejected");
+            assert!(err.contains("issue queue size"), "{err}");
+        }
     }
 
     #[test]

@@ -74,7 +74,16 @@ pub struct IqState {
     pub replay_window: u32,
 }
 
+/// Widest queue the position bitmasks can mirror: one `u64` bit per slot.
+pub const MAX_IQ_SIZE: usize = 64;
+
 /// A compacting issue queue with physical entry positions.
+///
+/// Beside the slots the queue keeps four bitmasks over physical positions
+/// (occupied, ready, issued and tag-pending), so insert, select, wakeup and
+/// compaction visit only the slots that can matter. Priority order is a
+/// view of a mask: the identity in the conventional mode and a swap of the
+/// two halves in the toggled mode.
 ///
 /// # Examples
 ///
@@ -103,7 +112,58 @@ pub struct IssueQueue {
     slots: Vec<Option<IqEntry>>,
     mode: IqMode,
     replay_window: u32,
-    occupancy: usize,
+    /// Occupied slots.
+    occupied: u64,
+    /// Slots whose entry [`is_ready`](IqEntry::is_ready).
+    ready: u64,
+    /// Slots whose entry is in [`EntryState::Issued`].
+    issued: u64,
+    /// Slots whose entry still waits on a producer tag.
+    pending: u64,
+}
+
+/// Positions of ready entries in priority order (head first), returned by
+/// [`IssueQueue::ready_positions`].
+///
+/// The iterator holds a copy of the ready mask and borrows nothing, so a
+/// select loop can [`mark_issued`](IssueQueue::mark_issued) as it walks:
+/// issuing an entry never changes any *other* entry's readiness within a
+/// cycle.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadyPositions {
+    /// Ready ranks not yet visited (bit `r` = priority rank `r`).
+    ranks: u64,
+    /// Half the queue size when the queue is toggled, else 0.
+    swap: usize,
+}
+
+impl Iterator for ReadyPositions {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.ranks == 0 {
+            return None;
+        }
+        let rank = self.ranks.trailing_zeros() as usize;
+        self.ranks &= self.ranks - 1;
+        Some(swap_halves(rank, self.swap))
+    }
+
+    fn count(self) -> usize {
+        self.ranks.count_ones() as usize
+    }
+}
+
+/// Maps a rank to its position (or back) when the head sits `half` slots up
+/// a queue of `2 * half` entries; `half == 0` is the identity.
+#[inline]
+fn swap_halves(index: usize, half: usize) -> usize {
+    if index < half {
+        index + half
+    } else {
+        index - half
+    }
 }
 
 impl IssueQueue {
@@ -111,11 +171,23 @@ impl IssueQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is odd or below 4 (the two halves must be equal).
+    /// Panics if `size` is odd, below 4 (the two halves must be equal) or
+    /// above [`MAX_IQ_SIZE`].
     #[must_use]
     pub fn new(size: usize) -> Self {
-        assert!(size >= 4 && size.is_multiple_of(2), "queue size must be an even number >= 4");
-        IssueQueue { slots: vec![None; size], mode: IqMode::Normal, replay_window: 2, occupancy: 0 }
+        assert!(
+            (4..=MAX_IQ_SIZE).contains(&size) && size.is_multiple_of(2),
+            "queue size must be an even number in 4..={MAX_IQ_SIZE}"
+        );
+        IssueQueue {
+            slots: vec![None; size],
+            mode: IqMode::Normal,
+            replay_window: 2,
+            occupied: 0,
+            ready: 0,
+            issued: 0,
+            pending: 0,
+        }
     }
 
     /// Sets the load-replay safety window (cycles between issue and the
@@ -133,7 +205,7 @@ impl IssueQueue {
     /// Occupied entries (valid + not-yet-compacted invalid).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.occupancy
+        self.occupied.count_ones() as usize
     }
 
     /// Current head/tail mode.
@@ -152,11 +224,31 @@ impl IssueQueue {
         self.mode = mode;
     }
 
+    /// How far the head sits from physical position 0: half the queue in
+    /// the toggled mode, else 0.
+    #[inline]
+    fn swap(&self) -> usize {
+        match self.mode {
+            IqMode::Normal => 0,
+            IqMode::Toggled => self.slots.len() / 2,
+        }
+    }
+
+    /// A physical-position mask in priority order (bit `r` = rank `r`). In
+    /// the toggled mode that swaps the two halves, which is its own inverse.
+    #[inline]
+    fn rank_view(&self, mask: u64) -> u64 {
+        match self.swap() {
+            0 => mask,
+            half => (mask >> half) | ((mask & ((1 << half) - 1)) << half),
+        }
+    }
+
     /// Physical position of priority rank `rank` under the current mode.
     ///
     /// Ranks are only meaningful below [`size`](IssueQueue::size); in the
-    /// toggled mode a larger rank would alias `rank - size` after the
-    /// modular wrap, so out-of-range ranks are rejected outright.
+    /// toggled mode a larger rank would alias a smaller one, so
+    /// out-of-range ranks are rejected outright.
     ///
     /// # Panics
     ///
@@ -165,10 +257,7 @@ impl IssueQueue {
     pub fn position_of_rank(&self, rank: usize) -> usize {
         let s = self.slots.len();
         debug_assert!(rank < s, "rank {rank} out of range for queue of size {s}");
-        match self.mode {
-            IqMode::Normal => rank,
-            IqMode::Toggled => (s / 2 + rank) % s,
-        }
+        swap_halves(rank, self.swap())
     }
 
     /// Physical half (0 = bottom, 1 = top) of a physical position.
@@ -177,18 +266,33 @@ impl IssueQueue {
         usize::from(position >= self.slots.len() / 2)
     }
 
+    /// Re-derives the four mask bits of `position` from its slot.
+    fn sync(&mut self, position: usize) {
+        let bit = 1u64 << position;
+        self.occupied &= !bit;
+        self.ready &= !bit;
+        self.issued &= !bit;
+        self.pending &= !bit;
+        if let Some(e) = &self.slots[position] {
+            self.occupied |= bit;
+            if e.is_ready() {
+                self.ready |= bit;
+            }
+            if matches!(e.state, EntryState::Issued { .. }) {
+                self.issued |= bit;
+            }
+            if e.src1_tag.is_some() || e.src2_tag.is_some() {
+                self.pending |= bit;
+            }
+        }
+    }
+
     /// Whether [`insert`](IssueQueue::insert) would currently succeed.
     #[must_use]
     pub fn can_insert(&self) -> bool {
-        let s = self.slots.len();
-        if self.occupancy == s {
-            return false;
-        }
-        // The slot after the last occupied position must exist.
-        match (0..s).rev().find(|&r| self.slots[self.position_of_rank(r)].is_some()) {
-            Some(last) => last + 1 < s,
-            None => true,
-        }
+        // Dispatch appends after the last occupied rank, so it succeeds
+        // exactly when the lowest-priority slot is free.
+        self.occupied & (1 << self.position_of_rank(self.slots.len() - 1)) == 0
     }
 
     /// Inserts a new entry at the tail (lowest-priority free slot).
@@ -197,58 +301,30 @@ impl IssueQueue {
     /// the last occupied one, in priority order, is taken or the queue is
     /// full). Charges the payload-RAM write.
     pub fn insert(&mut self, entry: IqEntry, activity: &mut IqActivity) -> bool {
-        let s = self.slots.len();
-        if self.occupancy == s {
-            return false;
-        }
-        // Find the slot after the last occupied position in priority order.
-        let mut insert_rank = 0;
-        for rank in (0..s).rev() {
-            if self.slots[self.position_of_rank(rank)].is_some() {
-                insert_rank = rank + 1;
-                break;
-            }
-        }
-        if insert_rank >= s {
-            // Occupied run touches the lowest-priority end; dispatch must
-            // wait for compaction even though holes exist below.
+        // One past the last occupied rank. When that runs off the
+        // lowest-priority end, dispatch must wait for compaction even
+        // though holes may exist below.
+        let insert_rank = (u64::BITS - self.rank_view(self.occupied).leading_zeros()) as usize;
+        if insert_rank >= self.slots.len() {
             return false;
         }
         let pos = self.position_of_rank(insert_rank);
         debug_assert!(self.slots[pos].is_none());
         self.slots[pos] = Some(entry);
-        self.occupancy += 1;
+        self.sync(pos);
         activity.inserts += 1;
         activity.payload_accesses += 1; // payload RAM write
         true
     }
 
-    /// Iterates positions of ready entries in priority order (head first).
-    pub fn ready_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.slots.len()).filter_map(move |rank| self.ready_at_rank(rank))
-    }
-
-    /// Physical position of the entry at priority rank `rank`, if that slot
-    /// holds a ready (issuable) entry.
+    /// Positions of ready entries in priority order (head first).
     ///
-    /// This is the allocation-free building block of the select loop: the
-    /// issue stages walk ranks `0..size()` with this accessor instead of
-    /// materializing a ready list, so `mark_issued` can interleave with the
-    /// scan (issuing an entry never changes any *other* entry's readiness
-    /// within a cycle). Ranks at or past [`size`](IssueQueue::size) hold no
-    /// entry and return `None` (in the toggled mode such a rank would
-    /// otherwise alias `rank - size` after the modular wrap).
-    #[inline]
+    /// This is the select loop's building block: the iterator walks a copy
+    /// of the ready mask, so the issue stages interleave
+    /// [`mark_issued`](IssueQueue::mark_issued) with the walk.
     #[must_use]
-    pub fn ready_at_rank(&self, rank: usize) -> Option<usize> {
-        if rank >= self.slots.len() {
-            return None;
-        }
-        let pos = self.position_of_rank(rank);
-        match &self.slots[pos] {
-            Some(e) if e.is_ready() => Some(pos),
-            _ => None,
-        }
+    pub fn ready_positions(&self) -> ReadyPositions {
+        ReadyPositions { ranks: self.rank_view(self.ready), swap: self.swap() }
     }
 
     /// Entry at a physical position.
@@ -267,6 +343,7 @@ impl IssueQueue {
         let entry = self.slots[position].as_mut().expect("mark_issued on empty slot");
         assert!(entry.is_ready(), "mark_issued on non-ready entry");
         entry.state = EntryState::Issued { age: 0 };
+        self.sync(position);
         activity.payload_accesses += 1; // payload RAM read
         activity.selects += 1;
     }
@@ -274,18 +351,37 @@ impl IssueQueue {
     /// Broadcasts a completed producer's tag; wakes matching operands.
     ///
     /// Charges one tag-broadcast event (the wires run the whole queue, so
-    /// the power model splits it across both halves).
+    /// the power model splits it across both halves). Only slots still
+    /// waiting on some tag can match, so only those are visited.
     pub fn broadcast(&mut self, rob_id: u32, activity: &mut IqActivity) {
         activity.broadcasts += 1;
-        for slot in self.slots.iter_mut().flatten() {
+        let mut waiting = self.pending;
+        while waiting != 0 {
+            let pos = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let slot = self.slots[pos].as_mut().expect("tag-pending slot is occupied");
+            let mut woke = false;
             if slot.src1_tag == Some(rob_id) {
                 slot.src1_ready = true;
                 slot.src1_tag = None;
+                woke = true;
             }
             if slot.src2_tag == Some(rob_id) {
                 slot.src2_ready = true;
                 slot.src2_tag = None;
+                woke = true;
             }
+            if woke {
+                self.sync(pos);
+            }
+        }
+    }
+
+    /// Moves the four mask bits of `from` to the empty slot `to`.
+    fn move_bits(&mut self, from: usize, to: usize) {
+        for mask in [&mut self.occupied, &mut self.ready, &mut self.issued, &mut self.pending] {
+            let bit = (*mask >> from) & 1;
+            *mask = (*mask & !(1 << from)) | (bit << to);
         }
     }
 
@@ -303,52 +399,54 @@ impl IssueQueue {
     /// * the clock-gating control logic runs every cycle regardless.
     pub fn tick(&mut self, max_compact: usize, activity: &mut IqActivity) {
         activity.gating_cycles += 1;
-        if self.occupancy == 0 {
+        if self.occupied == 0 {
             // Nothing to age or compact; an empty queue only clocks its
-            // gating control. Skipping the slot scans keeps an idle queue
-            // (e.g. the FP queue of an integer workload) off the critical
-            // path.
+            // gating control.
             return;
         }
 
         // Age issued entries toward invalidation.
-        for slot in self.slots.iter_mut().flatten() {
-            if let EntryState::Issued { age } = slot.state {
-                if age + 1 >= self.replay_window {
-                    slot.state = EntryState::Invalid;
-                } else {
-                    slot.state = EntryState::Issued { age: age + 1 };
-                }
+        let mut issued = self.issued;
+        while issued != 0 {
+            let pos = issued.trailing_zeros() as usize;
+            issued &= issued - 1;
+            let slot = self.slots[pos].as_mut().expect("issued slot is occupied");
+            let EntryState::Issued { age } = slot.state else {
+                unreachable!("the issued mask mirrors the slots")
+            };
+            if age + 1 >= self.replay_window {
+                slot.state = EntryState::Invalid;
+                self.issued &= !(1 << pos);
+            } else {
+                slot.state = EntryState::Issued { age: age + 1 };
             }
         }
 
-        // Compaction: walk priority ranks from the head up to the last
-        // occupied rank. Invalid entries are removed (up to `max_compact`
-        // per cycle — the removal bandwidth of the compaction logic);
-        // holes left behind by a mode toggle count as gaps directly. Every
-        // entry then shifts down by the number of gaps below it, capped at
-        // `max_compact` positions (the reach of the entry-to-entry wires).
-        // All moves are simultaneous: gaps vacated by this cycle's moves do
-        // not cascade within the cycle.
-        let s = self.slots.len();
-        let Some(last_occ) = (0..s).rev().find(|&r| self.slots[self.position_of_rank(r)].is_some())
-        else {
-            return;
-        };
+        // Compaction: walk the occupied priority ranks from the head up.
+        // Invalid entries are removed (up to `max_compact` per cycle — the
+        // removal bandwidth of the compaction logic); empty ranks below an
+        // entry, such as holes left behind by a mode toggle, count as gaps
+        // directly. Every entry then shifts down by the number of gaps
+        // below it, capped at `max_compact` positions (the reach of the
+        // entry-to-entry wires). All moves are simultaneous: a move only
+        // lands on a rank already walked, so gaps vacated by this cycle's
+        // moves do not cascade within the cycle.
+        let mut ranks = self.rank_view(self.occupied);
+        let mut next_rank = 0usize;
         let mut gap = 0usize;
         let mut removed = 0usize;
         let mut wrapped = false;
-        for rank in 0..=last_occ {
+        while ranks != 0 {
+            let rank = ranks.trailing_zeros() as usize;
+            ranks &= ranks - 1;
+            gap += rank - next_rank; // empty ranks since the previous entry
+            next_rank = rank + 1;
             let pos = self.position_of_rank(rank);
             let is_invalid =
                 matches!(self.slots[pos], Some(IqEntry { state: EntryState::Invalid, .. }));
-            if self.slots[pos].is_none() {
-                gap += 1;
-                continue;
-            }
             if is_invalid && removed < max_compact {
                 self.slots[pos] = None;
-                self.occupancy -= 1;
+                self.sync(pos);
                 removed += 1;
                 gap += 1;
                 // The removed entry's invalids-counter stages clocked.
@@ -369,9 +467,9 @@ impl IssueQueue {
                 }
                 wrapped = true;
             }
-            let entry = self.slots[pos].take().expect("checked occupied");
             debug_assert!(self.slots[dest].is_none(), "simultaneous moves cannot collide");
-            self.slots[dest] = Some(entry);
+            self.slots[dest] = self.slots[pos].take();
+            self.move_bits(pos, dest);
             let from_half = self.half_of(pos);
             activity.compact_moves[from_half] += 1;
             activity.mux_selects[from_half] += 1;
@@ -408,20 +506,22 @@ impl IssueQueue {
                 self.slots.len()
             ));
         }
-        self.slots = state.slots.clone();
+        self.slots.clone_from(&state.slots);
         self.mode = state.mode;
         self.replay_window = state.replay_window;
-        self.occupancy = self.slots.iter().filter(|s| s.is_some()).count();
+        for pos in 0..self.slots.len() {
+            self.sync(pos);
+        }
         Ok(())
     }
 
     /// Removes every trace of instruction `rob_id` (used only by tests and
     /// draining; normal entries leave via compaction).
     pub fn evict(&mut self, rob_id: u32) {
-        for slot in self.slots.iter_mut() {
-            if matches!(slot, Some(e) if e.rob_id == rob_id) {
-                *slot = None;
-                self.occupancy -= 1;
+        for pos in 0..self.slots.len() {
+            if matches!(self.slots[pos], Some(e) if e.rob_id == rob_id) {
+                self.slots[pos] = None;
+                self.sync(pos);
             }
         }
     }
@@ -669,36 +769,6 @@ mod tests {
 
         let mut wrong = IssueQueue::new(16);
         assert!(wrong.restore(&state).is_err(), "capacity mismatch must fail");
-    }
-
-    #[test]
-    fn ready_at_rank_past_occupancy_returns_none() {
-        let mut iq = IssueQueue::new(8);
-        let mut act = IqActivity::default();
-        for i in 0..3 {
-            assert!(iq.insert(entry(i), &mut act));
-        }
-        // Ranks between occupancy and capacity are simply empty slots.
-        for rank in 3..8 {
-            assert_eq!(iq.ready_at_rank(rank), None, "rank {rank} is unoccupied");
-        }
-        // Ranks at or past capacity must be None too, not a panic (normal
-        // mode) or an aliased wrap back into the low ranks (toggled mode).
-        assert_eq!(iq.ready_at_rank(8), None);
-        assert_eq!(iq.ready_at_rank(usize::MAX), None);
-    }
-
-    #[test]
-    fn ready_at_rank_past_capacity_does_not_alias_in_toggled_mode() {
-        let mut iq = IssueQueue::new(8);
-        iq.set_mode(IqMode::Toggled);
-        let mut act = IqActivity::default();
-        assert!(iq.insert(entry(0), &mut act));
-        // The head sits at physical 4 = rank 0. Rank 8 would wrap back to
-        // the same physical position under (s/2 + rank) % s; it must not
-        // present the head twice to a select loop that overruns.
-        assert_eq!(iq.ready_at_rank(0), Some(4));
-        assert_eq!(iq.ready_at_rank(8), None, "rank 8 must not alias rank 0");
     }
 
     #[test]

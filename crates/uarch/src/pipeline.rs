@@ -772,14 +772,13 @@ impl Core {
         }
         let mut unit_idx = 0usize;
         let mut mem_issued = 0usize;
-        // Walk ranks directly instead of materializing the ready list:
-        // issuing an entry never changes another entry's readiness within a
-        // cycle, so the scan sees the same positions the collected list did.
-        for rank in 0..self.int_iq.size() {
+        // Walk the ready mask in rank order: issuing an entry never changes
+        // another entry's readiness within a cycle, so the mask copy the
+        // iterator holds stays exact while the loop marks entries issued.
+        for pos in self.int_iq.ready_positions() {
             if unit_idx == n_units {
                 break;
             }
-            let Some(pos) = self.int_iq.ready_at_rank(rank) else { continue };
             let entry = *self.int_iq.entry(pos).expect("ready position is occupied");
             if entry.is_mem && mem_issued == self.cfg.dcache_ports {
                 continue; // cache ports exhausted; tree masks this request
@@ -837,8 +836,7 @@ impl Core {
         }
         let mut adder_idx = 0usize;
         let mut mul_used = false;
-        for rank in 0..self.fp_iq.size() {
-            let Some(pos) = self.fp_iq.ready_at_rank(rank) else { continue };
+        for pos in self.fp_iq.ready_positions() {
             let entry = *self.fp_iq.entry(pos).expect("ready position is occupied");
             let unit: Option<(UnitKind, usize)> = if entry.needs_fp_mul {
                 if !mul_used && self.pool.is_available(UnitKind::FpMul, 0) {

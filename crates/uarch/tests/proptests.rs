@@ -126,16 +126,26 @@ proptest! {
                 })
                 .position(|p| iq.entry(p).expect("occupied").rob_id == id)
         };
+        let position_of = |iq: &IssueQueue, id: u32| -> Option<usize> {
+            iq.occupied_positions().find(|&p| iq.entry(p).expect("occupied").rob_id == id)
+        };
         let before: Vec<(u32, usize)> = (0..occupancy as u32)
             .filter_map(|id| rank_of(&iq, id).map(|r| (id, r)))
             .collect();
+        let positions_before: Vec<Option<usize>> =
+            before.iter().map(|&(id, _)| position_of(&iq, id)).collect();
         iq.tick(6, &mut act);
         iq.tick(6, &mut act);
         iq.tick(6, &mut act);
-        for (id, _) in &before {
-            // Entries may only keep or improve (lower) their physical rank
-            // relative to other survivors -- i.e., relative order preserved.
-            let _ = id;
+        for (&(id, rank), position) in before.iter().zip(positions_before) {
+            // A survivor may only keep or improve (lower) its rank among the
+            // survivors, and in the conventional mode compaction only ever
+            // moves it down the queue.
+            if let Some(after) = rank_of(&iq, id) {
+                prop_assert!(after <= rank, "entry {id} fell from rank {rank} to {after}");
+                let (from, to) = (position.expect("ranked"), position_of(&iq, id).expect("ranked"));
+                prop_assert!(to <= from, "entry {id} moved up from position {from} to {to}");
+            }
         }
         let after_order: Vec<u32> = iq
             .occupied_positions()

@@ -372,3 +372,85 @@ fn graceful_shutdown_drains_and_refuses() {
         "the listener must be closed after shutdown"
     );
 }
+
+#[test]
+fn over_wide_issue_queue_is_a_400() {
+    let server = start_server(ServiceConfig::default());
+    let mut client = Client::new(server.addr(), Duration::from_secs(10));
+    let mut config = experiments::issue_queue(false);
+    config.core.iq_size = 66;
+    let spec =
+        CampaignSpec::new("wide-queue").config("wide", config).benchmark("gzip").cycles(1_000);
+    let response = client
+        .request("POST", "/v1/campaigns", Some(&serde::json::to_string(&spec)))
+        .expect("submit answers");
+    assert_eq!(response.status, 400, "{}", response.text());
+    assert!(response.text().contains("issue queue size"), "{}", response.text());
+    assert_eq!(server.service().metrics().campaigns_invalid.load(Ordering::Relaxed), 1);
+    // The server is unharmed: a valid submission still goes through.
+    let response = client
+        .request("POST", "/v1/campaigns", Some(&spec_json("after-wide", 1_000)))
+        .expect("submit answers");
+    assert_eq!(response.status, 202);
+}
+
+/// Delivered results are retained only up to a bound: the 300th delivery
+/// releases the first ones, which then answer `410` while their status
+/// stays `Completed`. Recent and never-fetched results stay available.
+#[test]
+fn delivered_results_beyond_the_retention_bound_are_gone() {
+    use powerbalance_server::service::RETAINED_DELIVERED_RESULTS;
+    const DELIVERED: usize = 300;
+    const { assert!(DELIVERED > RETAINED_DELIVERED_RESULTS) };
+
+    let server = start_server(ServiceConfig {
+        queue_depth: 4,
+        workers: 2,
+        campaign_threads: Some(1),
+        ..ServiceConfig::default()
+    });
+    let mut client = Client::new(server.addr(), Duration::from_secs(30));
+    let submit = |client: &mut Client, name: &str| {
+        let response = client
+            .request("POST", "/v1/campaigns", Some(&spec_json(name, 1_000)))
+            .expect("submit answers");
+        assert_eq!(response.status, 202);
+        extract_id(&response.text())
+    };
+    let result = |client: &mut Client, id: u64, wait: &str| {
+        client.request("GET", &format!("/v1/campaigns/{id}/result{wait}"), None).expect("answers")
+    };
+
+    let unfetched = submit(&mut client, "never-fetched");
+    let mut delivered = Vec::with_capacity(DELIVERED);
+    for i in 0..DELIVERED {
+        let id = submit(&mut client, &format!("delivered-{i}"));
+        assert_eq!(result(&mut client, id, "?wait=30").status, 200, "campaign {i}");
+        delivered.push(id);
+    }
+
+    let first = delivered[0];
+    let gone = result(&mut client, first, "");
+    assert_eq!(gone.status, 410);
+    assert!(gone.text().contains("released after delivery"), "{}", gone.text());
+    let status = client.request("GET", &format!("/v1/campaigns/{first}"), None).expect("answers");
+    assert_eq!(status.status, 200);
+    assert!(status.text().contains("\"Completed\""), "{}", status.text());
+    assert!(status.text().contains("delivered-0"), "the name survives: {}", status.text());
+
+    // The oldest delivery still retained, and the newest, answer 200; so
+    // does a result nobody has fetched yet, however old.
+    let oldest_kept = delivered[DELIVERED - RETAINED_DELIVERED_RESULTS];
+    assert_eq!(
+        result(&mut client, delivered[DELIVERED - RETAINED_DELIVERED_RESULTS - 1], "").status,
+        410
+    );
+    assert_eq!(result(&mut client, oldest_kept, "").status, 200);
+    assert_eq!(result(&mut client, delivered[DELIVERED - 1], "").status, 200);
+    assert_eq!(poll_terminal(&mut client, unfetched), "Completed");
+    let kept = result(&mut client, unfetched, "");
+    assert_eq!(kept.status, 200);
+    let parsed: powerbalance_harness::CampaignResult =
+        serde::json::from_str(&kept.text()).expect("result body is a CampaignResult");
+    assert_eq!(parsed.spec.name, "never-fetched");
+}
